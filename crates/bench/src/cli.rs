@@ -1,5 +1,5 @@
 //! CLI plumbing shared by the scenario-driven binaries (`scenario-run`,
-//! `sweep`, `train-bench`) and the serving daemon: the common
+//! `sweep`) and the serving daemon: the common
 //! training-override flags, parsed, applied and wire-encoded one way so
 //! the front ends cannot drift.
 

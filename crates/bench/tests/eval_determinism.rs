@@ -1,78 +1,49 @@
-//! Cross-thread-count determinism for the batched evaluation engine: the
-//! same checkpointed policy evaluated under different `RAYON_NUM_THREADS`
-//! settings must produce bit-identical statistics.
+//! Evaluation determinism on a trained checkpoint.
 //!
-//! Like `thread_determinism.rs`, the vendored rayon shim sizes its pool
-//! once per process, so each thread count runs in its own subprocess: a
-//! tiny `sweep` first produces real artifacts, then `eval-bench` is
-//! spawned per thread count and its per-scenario stat digests compared.
-//! `eval-bench` also hard-fails internally when batched eval at one lane
-//! diverges from the serial evaluator, so every spawn doubles as the
-//! serial-vs-batched bit-identity gate.
+//! * The same checkpointed policy evaluated under different
+//!   `RAYON_NUM_THREADS` settings and SIMD tiers must produce bit-identical
+//!   statistics. Like `thread_determinism.rs`, the vendored rayon shim
+//!   sizes its pool once per process, so a tiny `sweep` first produces real
+//!   artifacts, then `scenario-run --ckpt` is spawned per setting in its
+//!   load-only mode (the checkpoint exists, so it evaluates without
+//!   training) and its digest lines are compared.
+//! * The batched evaluator at one lane must reproduce the serial evaluator
+//!   bit for bit on a policy that has actually trained, not only on a
+//!   random initialisation.
 
-use std::path::PathBuf;
+use autocat::ppo::eval;
+use autocat_bench::sweep::{checkpoint_path, train_trainer};
+use rand::Rng;
+use std::path::Path;
 use std::process::Command;
 
-fn sweep_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join("autocat-eval-determinism");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
 
-/// Runs one `eval-bench` process and returns its result-line digests,
-/// keyed by scenario.
-fn eval_digests(dir: &std::path::Path, threads: &str) -> Vec<(String, String)> {
-    eval_digests_env(dir, threads, &[])
-}
-
-/// Like [`eval_digests`], with extra environment variables (e.g. a
-/// `SIMD_TIER` override) applied to the child.
-fn eval_digests_env(
-    dir: &std::path::Path,
-    threads: &str,
-    envs: &[(&str, &str)],
-) -> Vec<(String, String)> {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_eval-bench"));
-    cmd.args(["--dir", dir.to_str().unwrap()])
-        .args(["--eval-episodes", "40", "--lanes", "4"])
-        .env("RAYON_NUM_THREADS", threads);
-    for (key, value) in envs {
-        cmd.env(key, value);
-    }
-    let out = cmd.output().expect("eval-bench must spawn");
+/// Evaluates the checkpoint at `ckpt` in a `scenario-run` child under
+/// `threads` pool threads plus `envs`, and returns its
+/// `(params digest, eval digest)`.
+fn eval_digests(ckpt: &Path, threads: &str, envs: &[(&str, &str)]) -> (String, String) {
+    let args = ["--scenario", "table4-6", "--eval-episodes", "40"];
+    let stdout = common::scenario_run(&args, ckpt, threads, envs);
     assert!(
-        out.status.success(),
-        "eval-bench failed under {threads} thread(s):\n{}",
-        String::from_utf8_lossy(&out.stderr)
+        stdout.contains("loading  :"),
+        "scenario-run must load the existing checkpoint, not retrain:\n{stdout}"
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let digests: Vec<(String, String)> = stdout
-        .lines()
-        .filter(|l| l.starts_with("eval-bench-result"))
-        .map(|line| {
-            let field = |key: &str| {
-                line.split_whitespace()
-                    .find_map(|f| f.strip_prefix(&format!("{key}=")))
-                    .unwrap_or_else(|| panic!("missing `{key}` in `{line}`"))
-                    .to_string()
-            };
-            (field("scenario"), field("digest"))
-        })
-        .collect();
-    assert!(!digests.is_empty(), "no result lines in:\n{stdout}");
-    digests
+    common::digests(&stdout)
 }
 
 #[test]
-fn batched_eval_stats_are_bit_identical_across_thread_counts() {
-    let dir = sweep_dir();
+fn batched_eval_stats_are_bit_identical_across_thread_counts_and_tiers() {
+    let dir = std::env::temp_dir().join(format!("autocat-eval-determinism-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
     // Real artifacts: a one-update training run checkpointed by the sweep
     // pipeline (2 lanes + 2 shards exercise the parallel trainer paths).
     let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
         .args(["--filter", "table4-6", "--steps", "1", "--seed", "11"])
         .args(["--lanes", "2", "--shards", "2", "--eval-episodes", "50"])
-        .args(["--out", dir.to_str().unwrap()])
+        .arg("--out")
+        .arg(&dir)
         .output()
         .expect("sweep must spawn");
     assert!(
@@ -80,21 +51,69 @@ fn batched_eval_stats_are_bit_identical_across_thread_counts() {
         "sweep failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let ckpt = checkpoint_path(&dir, "table4-6");
 
-    let one = eval_digests(&dir, "1");
-    let two = eval_digests(&dir, "2");
-    let four = eval_digests(&dir, "4");
-    assert_eq!(one, two, "eval stats diverged between 1 and 2 threads");
-    assert_eq!(one, four, "eval stats diverged between 1 and 4 threads");
+    let one = eval_digests(&ckpt, "1", &[]);
+    for threads in ["2", "4"] {
+        assert_eq!(
+            one,
+            eval_digests(&ckpt, threads, &[]),
+            "eval stats diverged between 1 and {threads} threads"
+        );
+    }
 
-    // The SIMD half of the same contract: the scalar kernel instantiation
-    // (`SIMD_TIER=scalar`) must reproduce the SIMD-tier evaluation bit for
-    // bit, threaded included. Note the checkpoint being evaluated was
-    // itself trained under the dispatch tier — the artifact is shared, so
-    // this isolates the evaluation path.
-    let scalar = eval_digests_env(&dir, "2", &[("SIMD_TIER", "scalar")]);
+    // The SIMD half of the same contract: a forced lower kernel tier must
+    // reproduce the dispatch-tier evaluation bit for bit, threaded
+    // included. The checkpoint was trained under the dispatch tier — the
+    // artifact is shared, so this isolates the evaluation path.
+    let forced = [simd::Tier::Scalar, simd::Tier::Avx2]
+        .into_iter()
+        .filter(|&tier| tier == simd::Tier::Scalar || tier < simd::tier());
+    for tier in forced {
+        assert_eq!(
+            one,
+            eval_digests(&ckpt, "2", &[("SIMD_TIER", tier.name())]),
+            "eval stats diverged between the dispatch SIMD tier and SIMD_TIER={}",
+            tier.name()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn batched_eval_at_one_lane_matches_serial_on_a_trained_policy() {
+    // One PPO update through the shared training path, so the evaluated
+    // weights are trained ones (the ppo unit test covers a random init).
+    let mut scenario = autocat_scenario::lookup("table4-6").expect("registry scenario");
+    scenario.train.max_steps = 1;
+    let mut trainer = train_trainer(&scenario, |_, _| {}).expect("table4-6 trains");
+    assert!(trainer.total_steps() > 0, "the policy must have trained");
+
+    // Both evaluators start from the identical state: the trainer's env,
+    // weights and RNG, cloned for the serial run.
+    let episodes = 200;
+    let (env, net, rng) = trainer.parts_mut();
+    let mut serial_env = env.clone();
+    let mut serial_net = net.clone_box();
+    let mut serial_rng = rng.clone();
+    let serial = eval::evaluate(
+        &mut serial_env,
+        serial_net.as_mut(),
+        episodes,
+        false,
+        &mut serial_rng,
+    );
+    let batched = eval::evaluate_batched(&*env, net, episodes, 1, false, rng).stats;
+    // Digest comparison, not PartialEq: f32 == would let a -0.0/+0.0
+    // association regression through, and single-bit is the contract.
     assert_eq!(
-        one, scalar,
-        "eval stats diverged between the dispatch SIMD tier and SIMD_TIER=scalar"
+        serial.digest(),
+        batched.digest(),
+        "batched eval at 1 lane diverged from serial: {serial:?} vs {batched:?}"
+    );
+    assert_eq!(
+        serial_rng.gen::<u64>(),
+        rng.gen::<u64>(),
+        "batched eval at 1 lane left a different RNG stream behind"
     );
 }

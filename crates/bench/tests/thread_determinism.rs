@@ -1,105 +1,105 @@
-//! Cross-thread-count determinism: the same training workload run under
-//! different `RAYON_NUM_THREADS` settings must produce bit-identical
-//! weights.
+//! Training determinism: the same short table4-6 run must produce
+//! bit-identical weights and evaluation statistics under every
+//! `RAYON_NUM_THREADS` setting and every SIMD tier — and the exact
+//! fingerprints pinned below, so a change that moves the training math
+//! anywhere (rollout, sharded update, optimizer, evaluation) fails here.
 //!
 //! The vendored rayon shim sizes its worker pool once per process, so the
 //! only faithful way to vary the thread count is to vary it across
-//! processes: these tests drive the `train-bench` binary's `--child` mode
-//! (one full measurement per invocation) and compare the final-weight
-//! digests it reports.
+//! processes: each run spawns `scenario-run --ckpt` (the train-and-save
+//! path the sweep and the daemon share) and reads back its
+//! `params digest` / `eval digest` lines.
 
-use std::process::Command;
+mod common;
 
-/// Runs one `train-bench --child` measurement and returns its
-/// `(steps, digest)` fields.
-fn train_digest(threads: &str, extra: &[&str]) -> (u64, String) {
-    train_digest_env(threads, extra, &[])
-}
+/// `(params digest, eval digest)` of the 1-shard run (`--shards 1`).
+const PINNED_1_SHARD: (&str, &str) = ("b41b8e62335642d0", "16e9a87c7c2accd0");
+/// `(params digest, eval digest)` of the 4-shard run (`--shards 4`).
+/// Differs from the 1-shard params: sharding reassociates the gradient
+/// sums, so the shard count is part of the training math.
+const PINNED_4_SHARD: (&str, &str) = ("7b77fa946649c230", "16e9a87c7c2accd0");
 
-/// Like [`train_digest`], with extra environment variables (e.g. a
-/// `SIMD_TIER` override) applied to the child.
-fn train_digest_env(threads: &str, extra: &[&str], envs: &[(&str, &str)]) -> (u64, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_train-bench"));
-    cmd.args([
-        "--child",
+/// Trains table4-6 for three updates (6144 steps on 4 lanes) with
+/// `shards` gradient shards under `threads` pool threads plus `envs`, and
+/// returns its `(params digest, eval digest)`.
+fn train_digests(shards: &str, threads: &str, envs: &[(&str, &str)]) -> (String, String) {
+    let tag: Vec<&str> = envs.iter().map(|(_, value)| *value).collect();
+    let dir = std::env::temp_dir().join(format!(
+        "autocat-thread-determinism-{}-s{shards}-t{threads}-{}",
+        std::process::id(),
+        tag.join("-")
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let args = [
         "--scenario",
         "table4-6",
         "--steps",
-        "2048",
+        "6144",
         "--lanes",
         "4",
         "--seed",
         "3",
-    ])
-    .args(extra)
-    .env("RAYON_NUM_THREADS", threads);
-    for (key, value) in envs {
-        cmd.env(key, value);
-    }
-    let out = cmd.output().expect("train-bench --child must spawn");
-    assert!(
-        out.status.success(),
-        "child failed under {threads} thread(s):\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let line = stdout
-        .lines()
-        .find(|l| l.starts_with("train-bench-result"))
-        .unwrap_or_else(|| panic!("no result line in:\n{stdout}"));
-    let field = |key: &str| {
-        line.split_whitespace()
-            .find_map(|f| f.strip_prefix(&format!("{key}=")))
-            .unwrap_or_else(|| panic!("missing `{key}` in `{line}`"))
-            .to_string()
-    };
-    (field("steps").parse().unwrap(), field("digest"))
+        "--eval-episodes",
+        "64",
+        "--shards",
+        shards,
+    ];
+    let stdout = common::scenario_run(&args, &dir.join("run.ckpt.bin"), threads, envs);
+    let _ = std::fs::remove_dir_all(&dir);
+    common::digests(&stdout)
+}
+
+fn pinned((params, eval): (&str, &str)) -> (String, String) {
+    (params.to_string(), eval.to_string())
 }
 
 #[test]
 fn sharded_training_is_bit_identical_across_thread_counts() {
-    // The tentpole acceptance criterion: N updates at 1 thread vs 4
-    // threads, identical weights down to the last bit. 4 gradient shards
-    // and 4 lanes ensure real parallel structure is exercised when
-    // workers exist.
-    let (steps_1, digest_1) = train_digest("1", &["--shards", "4"]);
-    let (steps_4, digest_4) = train_digest("4", &["--shards", "4"]);
-    assert_eq!(steps_1, steps_4, "both runs must do identical work");
-    assert!(steps_1 >= 2048);
-    assert_eq!(
-        digest_1, digest_4,
-        "weights diverged between 1 and 4 threads"
-    );
+    // 4 gradient shards and 4 lanes give the pool real parallel structure
+    // whenever workers exist.
+    for threads in ["1", "4"] {
+        assert_eq!(
+            train_digests("4", threads, &[]),
+            pinned(PINNED_4_SHARD),
+            "4-shard run under {threads} thread(s) diverged from the pinned digests"
+        );
+    }
+}
+
+#[test]
+fn single_shard_training_is_bit_identical_across_thread_counts() {
+    // One shard keeps the whole minibatch on the primary net, but rollout
+    // collection still runs the 4 lanes on the pool, and the collected
+    // trajectories feed the weights — so a rollout that leaked scheduling
+    // into its data would move the params digest here.
+    for threads in ["1", "8"] {
+        assert_eq!(
+            train_digests("1", threads, &[]),
+            pinned(PINNED_1_SHARD),
+            "1-shard run under {threads} thread(s) diverged from the pinned digests"
+        );
+    }
 }
 
 #[test]
 fn training_is_bit_identical_across_simd_tiers() {
-    // The SIMD half of the determinism contract: kernel results are
-    // defined by their canonical accumulation orders, so forcing the
-    // scalar kernel instantiation (`SIMD_TIER=scalar`) must reproduce the
-    // SIMD-tier training run to the last bit — including when the scalar
-    // run is also multi-threaded and sharded. (The `scalar-fallback`
-    // *feature* build is the compile-time version of the same claim; ci.sh
-    // runs the test suite under it.)
-    let (steps_simd, digest_simd) = train_digest_env("2", &["--shards", "2"], &[]);
-    let (steps_scalar, digest_scalar) =
-        train_digest_env("2", &["--shards", "2"], &[("SIMD_TIER", "scalar")]);
-    assert_eq!(steps_simd, steps_scalar, "both runs must do identical work");
-    assert_eq!(
-        digest_simd, digest_scalar,
-        "weights diverged between the dispatch SIMD tier and SIMD_TIER=scalar"
-    );
-}
-
-#[test]
-fn unsharded_training_is_also_thread_count_invariant() {
-    // grad_shards = 1 keeps the historical single-threaded update, but
-    // multi-lane rollout collection still uses the pool — it too must not
-    // leak scheduling into the trajectory stream.
-    let (_, digest_1) = train_digest("1", &["--shards", "1"]);
-    let (_, digest_8) = train_digest("8", &["--shards", "1"]);
-    assert_eq!(
-        digest_1, digest_8,
-        "rollout collection diverged between 1 and 8 threads"
-    );
+    // Kernel results are defined by their canonical accumulation orders,
+    // so forcing a lower kernel instantiation (`SIMD_TIER=scalar`, and
+    // `avx2` on AVX-512 hosts) must reproduce the dispatch-tier run to the
+    // last bit, multi-threaded and sharded included. (The
+    // `scalar-fallback` feature build is the compile-time version of the
+    // same claim; ci.sh runs this suite under it, where every test here
+    // runs on the scalar kernels.)
+    let forced = [simd::Tier::Scalar, simd::Tier::Avx2]
+        .into_iter()
+        .filter(|&tier| tier == simd::Tier::Scalar || tier < simd::tier());
+    for tier in forced {
+        assert_eq!(
+            train_digests("4", "2", &[("SIMD_TIER", tier.name())]),
+            pinned(PINNED_4_SHARD),
+            "SIMD_TIER={} diverged from the pinned 4-shard digests",
+            tier.name()
+        );
+    }
 }

@@ -291,7 +291,6 @@ fn scan_file(
     let allow_sites = parse_allows(path, &lines, report);
 
     let d1 = rules::d1_applies(path) && !is_test_file;
-    let d2 = !rules::d2_exempt(path);
     let r1 = rules::r1_applies(path) && !is_test_file;
 
     let mut raw: Vec<Finding> = Vec::new();
@@ -318,17 +317,15 @@ fn scan_file(
                 }
             }
         }
-        if d2 {
-            for token in rules::D2_TOKENS {
-                if rules::has_token(code, token) {
-                    push(
-                        Rule::D2,
-                        format!(
-                            "`{token}` outside a bench-timing module: results must be a \
-                             function of the seed alone"
-                        ),
-                    );
-                }
+        for token in rules::D2_TOKENS {
+            if rules::has_token(code, token) {
+                push(
+                    Rule::D2,
+                    format!(
+                        "`{token}` is a wall-clock or entropy source: results must be a \
+                         function of the seed alone"
+                    ),
+                );
             }
         }
         let mut env_messages = Vec::new();

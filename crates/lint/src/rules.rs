@@ -4,7 +4,7 @@
 //! | Rule | Contract it protects |
 //! |------|----------------------|
 //! | `D1` | No `HashMap`/`HashSet` in crates whose output feeds digests or reports — hash iteration order is nondeterministic, so a single stray map silently breaks byte-identity. Use `BTreeMap`/`BTreeSet`. |
-//! | `D2` | No wall-clock or entropy sources (`Instant::now`, `SystemTime`, `thread_rng`, `from_entropy`) outside the bench-timing bins — results must be a function of the seed alone. |
+//! | `D2` | No wall-clock or entropy sources (`Instant::now`, `SystemTime`, `thread_rng`, `from_entropy`) anywhere scanned — results must be a function of the seed alone; a timing source needs an audited per-line allow. |
 //! | `D3` | Every `std::env::var` read names a variable in the committed registry (`env-registry.txt`), keeping the config surface enumerable. |
 //! | `R1` | No `unwrap`/`expect`/`panic!`/`unreachable!` in the daemon request path (`crates/serve/src/{server,proto,client}.rs`) — daemon errors flow through `ErrorKind`, they never kill a connection thread. |
 //! | `U1` | Every `unsafe` block or `unsafe fn` is preceded by a `// SAFETY:` comment documenting the invariant it relies on. |
@@ -23,9 +23,6 @@ pub const D1_CRATES: &[&str] = &[
     "nn", "ppo", "gym", "scenario", "bench", "store", "detect", "attacks",
 ];
 
-/// Path prefixes where wall-clock timing is the point (rule `D2` exempt).
-pub const D2_ALLOWED_PREFIXES: &[&str] = &["crates/bench/src/bin/"];
-
 /// Files forming the daemon request path (rule `R1` scope).
 pub const R1_FILES: &[&str] = &[
     "crates/serve/src/server.rs",
@@ -38,7 +35,7 @@ pub const R1_FILES: &[&str] = &[
 pub enum Rule {
     /// Hash-ordered collections in digest/report-path crates.
     D1,
-    /// Wall-clock / entropy sources outside bench-timing modules.
+    /// Wall-clock / entropy sources without an audited allow.
     D2,
     /// Env reads outside the committed registry.
     D3,
@@ -70,7 +67,7 @@ impl Rule {
     pub fn describe(self) -> &'static str {
         match self {
             Rule::D1 => "no HashMap/HashSet in digest/report-path crates (use BTreeMap/BTreeSet)",
-            Rule::D2 => "no Instant::now/SystemTime/thread_rng/from_entropy outside bench bins",
+            Rule::D2 => "no Instant::now/SystemTime/thread_rng/from_entropy unless allowed",
             Rule::D3 => "every std::env::var read must name a variable in env-registry.txt",
             Rule::R1 => "no unwrap/expect/panic!/unreachable! in the daemon request path",
             Rule::U1 => "every unsafe block/fn needs a preceding // SAFETY: comment",
@@ -130,11 +127,6 @@ pub fn d1_applies(path: &str) -> bool {
     D1_CRATES
         .iter()
         .any(|krate| path.starts_with(&format!("crates/{krate}/src/")))
-}
-
-/// Whether `path` is exempt from rule `D2` (a bench-timing module).
-pub fn d2_exempt(path: &str) -> bool {
-    D2_ALLOWED_PREFIXES.iter().any(|p| path.starts_with(p))
 }
 
 /// Whether rule `R1` covers `path`.
@@ -254,8 +246,6 @@ mod tests {
         assert!(d1_applies("crates/detect/src/cyclone.rs"));
         assert!(!d1_applies("crates/serve/src/server.rs"));
         assert!(!d1_applies("crates/detect/tests/golden.rs"));
-        assert!(d2_exempt("crates/bench/src/bin/train_bench.rs"));
-        assert!(!d2_exempt("crates/bench/src/sweep.rs"));
         assert!(r1_applies("crates/serve/src/proto.rs"));
         assert!(!r1_applies("crates/serve/src/cmd.rs"));
     }

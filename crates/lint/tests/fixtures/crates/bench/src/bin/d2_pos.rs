@@ -1,4 +1,5 @@
-//! Wall-clock timing in a bench bin is the point (D2 negative case).
+//! Seeded D2 violation: a bench bin gets no wall-clock exemption either;
+//! a timing source needs an audited per-line allow.
 
 pub fn wall_time<R>(f: impl FnOnce() -> R) -> (R, std::time::Duration) {
     let start = std::time::Instant::now();

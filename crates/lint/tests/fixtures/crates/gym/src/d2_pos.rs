@@ -1,4 +1,4 @@
-//! Seeded D2 violations: wall-clock and entropy outside bench bins.
+//! Seeded D2 violations: wall-clock and entropy in library code.
 
 pub fn elapsed_nanos() -> u128 {
     let start = std::time::Instant::now();

@@ -626,8 +626,8 @@ fn run_row_chunks(
 /// loops and length-specializes them into spill-heavy code, which is why
 /// the backends exist.) The arithmetic is lane-wise IEEE in every backend
 /// (see the `simd` crate docs), so the tiers differ only in speed —
-/// bit-identity across tiers is asserted by tests and the
-/// `matmul-bench --check` CI gate.
+/// bit-identity across tiers is asserted by the `kernel_props` tests on
+/// every tier the host can run.
 macro_rules! tiered_kernel {
     (
         $(#[$meta:meta])*

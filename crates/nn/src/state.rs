@@ -159,7 +159,7 @@ pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 /// A 64-bit FNV-1a digest over the exact bit patterns of every parameter
 /// value (in `visit_params` order). Two models digest equal **iff** their
 /// weights are bit-identical — the currency of the cross-thread-count
-/// determinism tests and the `train-bench` harness.
+/// determinism tests and the `scenario-run` `params digest` line.
 ///
 /// Takes `&mut` because [`PolicyValueNet::visit_params`] does; the network
 /// is not modified.

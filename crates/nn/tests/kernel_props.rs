@@ -194,12 +194,11 @@ proptest! {
     }
 
     /// The bitwise SIMD-vs-scalar property on random ragged shapes: every
-    /// kernel, instantiated for the dispatch tier, must agree with the
-    /// scalar instantiation to the last bit. (On a scalar-fallback build
-    /// or non-x86 host the dispatch tier *is* scalar and this passes
-    /// trivially; the real coverage runs wherever AVX tiers exist, and
-    /// `matmul-bench --check` gates the same property in CI on fixed
-    /// shapes.)
+    /// kernel, instantiated for every SIMD tier this host can run, must
+    /// agree with the scalar instantiation to the last bit. (On a
+    /// scalar-fallback build or non-x86 host there is no SIMD tier and
+    /// this passes trivially; the real coverage runs wherever AVX tiers
+    /// exist.)
     #[test]
     fn kernels_agree_with_scalar_tier_bit_for_bit(
         m in 1usize..20,
@@ -207,28 +206,68 @@ proptest! {
         n in 1usize..140,
         seed in 0u64..1 << 32,
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = dense(m, k, &mut rng);
-        let a_sparse = sparse(m, k, &mut rng);
-        let b = dense(k, n, &mut rng);
-        let a_t = dense(k, m, &mut rng);
-        let b_t = dense(n, k, &mut rng);
-        let runs: [(&str, &dyn Fn() -> Matrix); 4] = [
-            ("matmul", &|| a.matmul(&b)),
-            ("matmul_sparse", &|| a_sparse.matmul(&b)),
-            ("matmul_tn", &|| a_t.matmul_tn(&b)),
-            ("matmul_nt", &|| a.matmul_nt(&b_t)),
-        ];
-        for (name, run) in runs {
-            let fast = simd::with_forced_tier(simd::tier(), || with_inline_kernels(run));
-            let slow = simd::with_forced_tier(simd::Tier::Scalar, || with_inline_kernels(run));
-            prop_assert!(
-                digest(&fast) == digest(&slow),
-                "{name} {m}x{k}x{n}: {} tier digest {:016x} != scalar {:016x}",
-                simd::tier().name(),
-                digest(&fast),
-                digest(&slow)
-            );
+        check_tiers_against_scalar(m, k, n, seed)?;
+    }
+}
+
+/// Ragged fixed shapes `(m, k, n)` for the tier check: off-block row
+/// counts, non-multiple-of-8 widths, and sub-block sizes that force every
+/// tail path.
+const RAGGED_SHAPES: [(usize, usize, usize); 6] = [
+    (4, 132, 128),
+    (7, 33, 19),
+    (1, 1, 1),
+    (3, 8, 16),
+    (13, 71, 5),
+    (64, 100, 37),
+];
+
+/// Every SIMD tier this build and CPU can run (the dispatch tier and
+/// below; none on a scalar-fallback build or non-x86 host).
+fn simd_tiers() -> Vec<simd::Tier> {
+    [simd::Tier::Avx2, simd::Tier::Avx512]
+        .into_iter()
+        .filter(|&tier| tier <= simd::tier())
+        .collect()
+}
+
+/// Runs all four kernels on `(m, k, n)` operands drawn from `seed` under
+/// every SIMD tier and checks each output digest against the scalar
+/// instantiation's. Kernels run inline: the forced tier is thread-local
+/// and would not reach pool workers.
+fn check_tiers_against_scalar(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a = dense(m, k, &mut rng);
+    let a_sparse = sparse(m, k, &mut rng);
+    let b = dense(k, n, &mut rng);
+    let a_t = dense(k, m, &mut rng);
+    let b_t = dense(n, k, &mut rng);
+    let runs: [(&str, &dyn Fn() -> Matrix); 4] = [
+        ("matmul", &|| a.matmul(&b)),
+        ("matmul_sparse", &|| a_sparse.matmul(&b)),
+        ("matmul_tn", &|| a_t.matmul_tn(&b)),
+        ("matmul_nt", &|| a.matmul_nt(&b_t)),
+    ];
+    for (name, run) in runs {
+        let slow = digest(&simd::with_forced_tier(simd::Tier::Scalar, || {
+            with_inline_kernels(run)
+        }));
+        for tier in simd_tiers() {
+            let fast = digest(&simd::with_forced_tier(tier, || with_inline_kernels(run)));
+            if fast != slow {
+                return Err(format!(
+                    "{name} {m}x{k}x{n}: {} tier digest {fast:016x} != scalar {slow:016x}",
+                    tier.name()
+                ));
+            }
         }
+    }
+    Ok(())
+}
+
+#[test]
+fn kernels_agree_with_scalar_tier_on_ragged_shapes() {
+    for &(m, k, n) in &RAGGED_SHAPES {
+        check_tiers_against_scalar(m, k, n, 23).unwrap();
     }
 }

@@ -118,7 +118,7 @@ pub fn ppo_config_to_value(ppo: &PpoConfig) -> Value {
     table.set("steps_per_epoch", Value::Int(ppo.steps_per_epoch as i64));
     table.set("num_lanes", Value::Int(ppo.num_lanes as i64));
     // Written only when it changes the math: a single shard is the
-    // historical update, and omitting the key keeps every pre-existing
+    // default layout, and omitting the key keeps every pre-existing
     // scenario/checkpoint file (and the golden fixtures) byte-stable.
     if ppo.grad_shards > 1 {
         table.set("grad_shards", Value::Int(ppo.grad_shards as i64));
@@ -451,7 +451,7 @@ mod tests {
     #[test]
     fn resume_is_bit_exact_under_the_sharded_trainer() {
         // The parallel (data-parallel gradient) trainer must uphold the
-        // same resume guarantee as the single-threaded one: grad_shards
+        // same resume guarantee as the 1-shard one: grad_shards
         // rides in the checkpointed config, and the fixed-order reduction
         // makes continued training deterministic.
         assert_bit_exact_resume_sharded(env, 2, 3, "sharded.ckpt.json");

@@ -83,9 +83,10 @@ impl EvalStats {
     }
 
     /// FNV-1a digest ([`autocat_nn::state::fnv1a`]) over the exact bits of
-    /// every field — the determinism-gate fingerprint `eval-bench`
-    /// compares across `RAYON_NUM_THREADS` settings. Two stats digests are
-    /// equal iff the stats are bitwise equal.
+    /// every field — the determinism-gate fingerprint `scenario-run`
+    /// prints as its `eval digest` line, compared across
+    /// `RAYON_NUM_THREADS` settings. Two stats digests are equal iff the
+    /// stats are bitwise equal.
     pub fn digest(&self) -> u64 {
         let words = [
             self.episodes as u64,

@@ -26,11 +26,12 @@
 //!   finished first; the per-shard loss sums are added in the same fixed
 //!   order.
 //!
-//! Note that sharded results are *not* bit-identical to the unsharded
-//! (`grad_shards = 1`) update: splitting a matrix product over the batch
-//! dimension reassociates floating-point sums. `grad_shards` is therefore
-//! part of the training configuration (checkpointed like every other
-//! hyper-parameter), and the single-shard path is preserved verbatim.
+//! Every update runs through `sharded_minibatch`; `grad_shards = 1` is
+//! simply the layout with no replicas, where shard 0 covers the whole
+//! minibatch. Results are *not* bit-identical across shard counts:
+//! splitting a matrix product over the batch dimension reassociates
+//! floating-point sums. `grad_shards` is therefore part of the training
+//! configuration (checkpointed like every other hyper-parameter).
 
 use autocat_nn::grad::{load_param_values, snapshot_param_values, GradBuffer};
 use autocat_nn::matrix::with_inline_kernels;
@@ -74,9 +75,9 @@ impl LossSums {
 }
 
 /// The per-transition PPO loss gradient (clipped surrogate + entropy
-/// bonus + value loss), shared verbatim by the single-threaded and
-/// sharded paths so they cannot drift. `k` is the transition's index into
-/// the full batch; returns `(dL/dlogits, dL/dvalue)`.
+/// bonus + value loss), shared by shard 0 and the replica shards so they
+/// cannot drift. `k` is the transition's index into the full batch;
+/// returns `(dL/dlogits, dL/dvalue)`.
 pub(crate) fn row_grad(
     ctx: &MinibatchCtx,
     k: usize,
@@ -145,12 +146,14 @@ fn run_shard(net: &mut dyn PolicyValueNet, ctx: &MinibatchCtx, rows: &[usize]) -
 ///
 /// Shard 0 (the first rows of `chunk`) runs on the calling thread
 /// directly against `primary` — its backward pass accumulates into the
-/// primary's freshly-zeroed gradients in place, with parallel matmul
-/// dispatch suppressed ([`with_inline_kernels`]) since the pool workers
-/// are busy with the sibling shards. Shards 1..N run on pool workers
-/// against replicas synced to the primary's exact weight bytes, and
-/// their buffers are then reduced into the primary **in shard order**,
-/// whatever order the workers finished in; loss sums reduce identically.
+/// primary's freshly-zeroed gradients in place. When sibling shards
+/// exist, its parallel matmul dispatch is suppressed
+/// ([`with_inline_kernels`]) since the pool workers are busy with them;
+/// in the single-shard layout its matmuls keep the pool. Shards 1..N
+/// run on pool workers against replicas synced to the primary's exact
+/// weight bytes, and their buffers are then reduced into the primary
+/// **in shard order**, whatever order the workers finished in; loss sums
+/// reduce identically.
 ///
 /// The shard layout — `chunk` split into `ceil(len / shards)`-sized
 /// contiguous ranges — depends only on the arguments, so the result is
@@ -166,9 +169,10 @@ pub(crate) fn sharded_minibatch(
     let mut ranges = chunk.chunks(sub_len);
     let shard0_rows = ranges.next().expect("minibatch chunks are non-empty");
     let rest: Vec<&[usize]> = ranges.collect();
+    let single_shard = rest.is_empty();
     // Replica weight sync reads the primary's bytes once per minibatch;
-    // skipped entirely in the degenerate single-shard layout.
-    let weights: Vec<Matrix> = if rest.is_empty() {
+    // skipped entirely in the single-shard layout.
+    let weights: Vec<Matrix> = if single_shard {
         Vec::new()
     } else {
         snapshot_param_values(|f| primary.visit_params(f))
@@ -184,13 +188,18 @@ pub(crate) fn sharded_minibatch(
                 *slot = Some(run_shard(replica.as_mut(), ctx, rows));
             });
         }
-        with_inline_kernels(|| {
+        let mut shard0 = || {
             let obs = ctx.batch.obs.gather_rows(shard0_rows);
             primary.zero_grad();
             primary.train_batch(&obs, &mut |i, logits, value| {
                 row_grad(ctx, shard0_rows[i], logits, value, &mut sums)
             });
-        });
+        };
+        if single_shard {
+            shard0();
+        } else {
+            with_inline_kernels(shard0);
+        }
     });
     // Fixed-order reduction: shard 0's gradients are already in place;
     // add shards 1..N on top in layout order.

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 use crate::rollout::{collect, EpisodeTally};
-use crate::sharded::{row_grad, sharded_minibatch, LossSums, MinibatchCtx};
+use crate::sharded::{sharded_minibatch, MinibatchCtx};
 
 /// PPO hyper-parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -44,11 +44,11 @@ pub struct PpoConfig {
     /// 1 reproduces the scalar single-env path bit-for-bit.
     pub num_lanes: usize,
     /// Data-parallel gradient shards per minibatch (see
-    /// [`crate::sharded`]). 1 (the default) preserves the historical
-    /// single-threaded update verbatim; values > 1 split each minibatch
+    /// [`crate::sharded`]). 1 (the default) runs each minibatch as one
+    /// shard on the primary model; values > 1 split each minibatch
     /// across model replicas on the rayon pool and reduce gradients in
-    /// fixed shard order, so results are bit-identical for every
-    /// `RAYON_NUM_THREADS` — but not to the 1-shard path (floating-point
+    /// fixed shard order. Either way results are bit-identical for every
+    /// `RAYON_NUM_THREADS` — but not across shard counts (floating-point
     /// reassociation), which is why this is a checkpointed
     /// hyper-parameter, not a runtime knob.
     pub grad_shards: usize,
@@ -393,20 +393,10 @@ impl<E: Environment + Send> Trainer<E> {
                     value_coef: cfg.value_coef,
                     inv: 1.0 / chunk.len() as f32,
                 };
-                let mut sums = LossSums::default();
-                if self.replicas.is_empty() {
-                    // The historical single-threaded update, verbatim.
-                    let obs = batch.obs.gather_rows(chunk);
-                    self.net.zero_grad();
-                    self.net.train_batch(&obs, &mut |i, logits, value| {
-                        row_grad(&ctx, chunk[i], logits, value, &mut sums)
-                    });
-                } else {
-                    // Data-parallel: shard 0 runs in place on the primary
-                    // net, the rest on weight-synced replicas; gradients
-                    // and loss sums reduce in fixed shard order.
-                    sums = sharded_minibatch(self.net.as_mut(), &mut self.replicas, &ctx, chunk);
-                }
+                // Shard 0 runs in place on the primary net, the rest (if
+                // any) on weight-synced replicas; gradients and loss sums
+                // reduce in fixed shard order.
+                let sums = sharded_minibatch(self.net.as_mut(), &mut self.replicas, &ctx, chunk);
                 stats.grad_norm =
                     clip_global_grad_norm(cfg.max_grad_norm, |f| self.net.visit_params(f));
                 self.adam.step(|f| self.net.visit_params(f));
