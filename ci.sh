@@ -84,6 +84,11 @@ for _ in $(seq 50); do
     sleep 0.1
 done
 SERVE_ADDR=$(sed -n 's/^autocat-serve: listening on //p' "$SERVE_OUT/daemon.log")
+# A hostile client first: one 200 KB line of `[` (past the parser's depth
+# cap). The daemon must drop that connection, not abort, so the round trip
+# below still passes.
+{ head -c 200000 /dev/zero | tr '\0' '['; echo; } \
+    > "/dev/tcp/${SERVE_ADDR%:*}/${SERVE_ADDR##*:}"
 cargo run --release -q -p autocat-serve -- submit --addr "$SERVE_ADDR" \
     --scenario table4-6 --steps 1 --wait | tee "$SERVE_OUT/daemon-job.log"
 cargo run --release -q -p autocat-serve -- fetch --addr "$SERVE_ADDR" \
@@ -153,7 +158,19 @@ echo "==> smoke: sweep golden round trip (report-only must regenerate bytes)"
 # would weigh ~2 MB; determinism makes the fresh run just as binding.)
 cargo run --release -q -p autocat-bench --bin sweep -- \
     --filter table4-6 --steps 1 --seed 1 --lanes 2 --shards 2 --out "$SWEEP_OUT" >/dev/null
-# --resume with an up-to-date manifest must skip the (re)training entirely.
+# The sweep writes the daemon's store layout (index + objects, no private
+# manifest), and its one stored object is byte-identical to the one-shot
+# checkpoint of the same spec: sweep, scenario-run and daemon share one
+# checkpoint.
+test -f "$SWEEP_OUT/index.json"
+test ! -e "$SWEEP_OUT/manifest.json"
+SWEEP_OBJECTS=("$SWEEP_OUT"/objects/*.ckpt.bin)
+[ "${#SWEEP_OBJECTS[@]}" -eq 1 ]
+cargo run --release -q -p autocat-bench --bin scenario-run -- \
+    --scenario table4-6 --steps 1 --seed 1 --lanes 2 --shards 2 \
+    --ckpt "$SERVE_OUT/sweep-oneshot.ckpt.bin" >/dev/null
+cmp "${SWEEP_OBJECTS[0]}" "$SERVE_OUT/sweep-oneshot.ckpt.bin"
+# --resume with the checkpoint already stored must skip the (re)training.
 # (stderr to a file, not a grep -q pipe: -q exits at first match and the
 # still-writing sweep would die of EPIPE.)
 cargo run --release -q -p autocat-bench --bin sweep -- \

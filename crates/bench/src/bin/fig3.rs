@@ -2,10 +2,9 @@
 //! textbook, RL-baseline and RL-autocor agents.
 //!
 //! `--cache DIR` keeps the two RL agents' checkpoints under `DIR`
-//! (`fig3-<label>.ckpt.bin`): present checkpoints are loaded through the
-//! binary fast path (JSON files from older runs decode too — the loader
-//! sniffs the codec) instead of retraining, so iterating on the figure's
-//! rendering no longer pays two training runs per invocation.
+//! (`fig3-<label>.ckpt.bin`): present checkpoints are loaded instead of
+//! retraining, so iterating on the figure's rendering no longer pays two
+//! training runs per invocation.
 
 use autocat::attacks::textbook::{run_scripted_multi, TextbookPrimeProbe};
 use autocat::detect::EventTrain;

@@ -11,10 +11,11 @@
 //! ```
 //!
 //! `--ckpt PATH` routes the run through the checkpoint layer: when the
-//! file exists the policy is loaded from it (binary fast path, JSON
-//! fallback — the codec is sniffed from the bytes) and only evaluated;
-//! otherwise the scenario trains through the same shared path the sweep
-//! and the serving daemon use and the checkpoint is written there. Either
+//! file exists the policy is loaded from it (a binary checkpoint, as
+//! written here, by `sweep` or fetched from the daemon; anything else is
+//! an error) and only evaluated; otherwise the scenario trains through
+//! the same shared path the sweep and the serving daemon use and the
+//! checkpoint is written there. Either
 //! way the run prints `params digest`/`eval digest` lines, which is what
 //! lets ci.sh assert a daemon-trained checkpoint is bit-identical to this
 //! one-shot equivalent.

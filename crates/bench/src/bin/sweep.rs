@@ -16,16 +16,17 @@
 //! `--generate N --gen-seed S` swaps the registry for N scenarios drawn
 //! from `autocat_scenario::generate` — deterministic in S, so a re-run
 //! (or `--resume`) regenerates byte-identical scenario files whose spec
-//! digests match the manifest. The artifacts feed the same resumable
+//! digests match the stored ones. The artifacts feed the same resumable
 //! pipeline; `--census` buckets the report rows by scenario-space region
 //! (`census.md`/`census.json`, see `autocat_bench::census`).
 //!
-//! `--resume` consults the per-run manifest (`manifest.json`): scenarios
-//! whose recorded train-spec digest matches the current spec (after
-//! overrides) and whose artifacts are on disk are skipped, and their
-//! report rows are regenerated from the checkpoints instead — an
-//! interrupted multi-scenario sweep continues in slices instead of
-//! retraining from zero.
+//! `--out` is a checkpoint store root (`objects/` + `index.json`, the
+//! serving daemon's layout) plus one `<name>.scenario.json` sidecar per
+//! scenario. `--resume` skips scenarios the store already holds for the
+//! current train spec (after overrides), and their report rows are
+//! regenerated from the checkpoints instead — an interrupted
+//! multi-scenario sweep continues in slices instead of retraining from
+//! zero.
 //!
 //! The written report always covers **every** artifact under `--out`: a
 //! filtered training run re-reads rows for previously-trained scenarios
@@ -41,7 +42,9 @@ use autocat_bench::sweep::{
     artifact_names, fill_missing_rows, resume_complete, row_from_artifacts, sort_rows, train_one,
     write_report, SweepRow,
 };
+use autocat_store::Store;
 use std::path::Path;
+use std::sync::Mutex;
 
 struct Args {
     filter: Option<String>,
@@ -151,16 +154,15 @@ fn train_all(args: &Args, out: &Path) -> Result<Vec<SweepRow>, String> {
     for scenario in &mut scenarios {
         args.overrides.apply(scenario);
     }
-    std::fs::create_dir_all(out).map_err(|e| format!("creating {}: {e}", out.display()))?;
+    let store = Store::open(out)?;
 
     if args.resume {
-        // Skip scenarios whose artifacts are already complete for this
-        // exact spec (manifest digest match + files on disk). Their rows
+        // Skip scenarios already stored for this exact spec. Their rows
         // come back through `fill_missing_rows`, so the report still
         // covers them.
         let before = scenarios.len();
         scenarios.retain(|scenario| {
-            let done = resume_complete(out, scenario);
+            let done = resume_complete(&store, scenario);
             if done {
                 eprintln!(
                     "sweep: {:<24} already complete, skipping (--resume)",
@@ -172,7 +174,7 @@ fn train_all(args: &Args, out: &Path) -> Result<Vec<SweepRow>, String> {
         if scenarios.is_empty() {
             eprintln!("sweep: all {before} scenario(s) already complete; regenerating report");
             let mut rows = Vec::new();
-            fill_missing_rows(out, &mut rows)?;
+            fill_missing_rows(&store, &mut rows)?;
             return Ok(rows);
         }
     }
@@ -183,12 +185,14 @@ fn train_all(args: &Args, out: &Path) -> Result<Vec<SweepRow>, String> {
         rayon::current_num_threads(),
         out.display()
     );
+    let store = Mutex::new(store);
     let mut slots: Vec<Option<Result<SweepRow, String>>> = Vec::new();
     slots.resize_with(scenarios.len(), || None);
     rayon::scope(|scope| {
         for (scenario, slot) in scenarios.iter().zip(slots.iter_mut()) {
+            let store = &store;
             scope.spawn(move |_| {
-                let result = train_one(scenario, out);
+                let result = train_one(scenario, store);
                 if let Ok(row) = &result {
                     eprintln!(
                         "sweep: {:<24} {} steps, reward {:.3}, {} (accuracy {:.3} over {} episodes)",
@@ -218,7 +222,10 @@ fn train_all(args: &Args, out: &Path) -> Result<Vec<SweepRow>, String> {
     }
     // A filtered run must not truncate the report: pull rows for any
     // other artifacts already in the directory.
-    fill_missing_rows(out, &mut rows)?;
+    let store = store
+        .into_inner()
+        .map_err(|_| "store lock poisoned".to_string())?;
+    fill_missing_rows(&store, &mut rows)?;
     Ok(rows)
 }
 
@@ -230,9 +237,10 @@ fn report_only(out: &Path) -> Result<Vec<SweepRow>, String> {
             out.display()
         ));
     }
+    let store = Store::open(out)?;
     names
         .iter()
-        .map(|name| row_from_artifacts(out, name))
+        .map(|name| row_from_artifacts(&store, name))
         .collect()
 }
 

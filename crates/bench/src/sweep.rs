@@ -17,7 +17,7 @@
 //! right after training and a report regenerated later from the artifacts
 //! alone ([`row_from_artifacts`]) are **identical**, because a row is
 //! always produced from a checkpoint-equivalent trainer state (training
-//! saves first, then evaluates; report-only loads, then evaluates — the
+//! encodes first, then evaluates; report-only loads, then evaluates — the
 //! checkpoint resume guarantee in `autocat_ppo::checkpoint` plus the
 //! batched evaluator's determinism contract make both evaluations
 //! bit-identical).
@@ -25,33 +25,35 @@
 //! # Artifact layout
 //!
 //! Everything lives under one output directory (`--out`, default
-//! `runs/sweep`):
+//! `runs/sweep`), which is also an [`autocat_store::Store`] root — the
+//! layout the serving daemon keeps:
 //!
 //! ```text
 //! runs/sweep/
+//!   objects/<digest>.ckpt.bin # binary checkpoints, named by content digest
+//!   index.json                # (scenario, spec digest) -> checkpoint entry
 //!   table4-1.scenario.json    # the exact scenario trained (with overrides)
-//!   table4-1.ckpt.bin         # its policy/optimizer/RNG checkpoint (binary)
 //!   ...
-//!   manifest.json             # scenario name -> train-spec digest (resume key)
 //!   report.md                 # the Table IV reproduction report
 //!   report.json               # the same rows, machine-readable
 //! ```
 //!
-//! Checkpoints are written in the compact binary codec (`.ckpt.bin`, the
-//! hot path); directories from older runs holding `.ckpt.json` artifacts
-//! keep working — [`resolve_checkpoint_path`] falls back to the JSON
-//! file, and the trainer's loader sniffs the codec from the bytes either
-//! way. The manifest records the exact train spec each checkpoint came
-//! from, so `sweep --resume` can skip scenarios that are already done
-//! (same name, same spec) and an interrupted multi-scenario sweep
-//! continues in slices instead of retraining from zero.
+//! A scenario's checkpoint is found through the store index by its name
+//! and the [`spec_digest`] of its sidecar, then fetched digest-verified:
+//! `sweep --resume` skips scenarios already stored for the same spec, so
+//! an interrupted multi-scenario sweep continues in slices instead of
+//! retraining from zero, and a corrupted object is an error rather than a
+//! silently different report.
 
 use autocat::attacks::classify::classify_sequence;
 use autocat::gym::{Action, CacheGuessingGame};
+use autocat::nn::state::params_digest;
 use autocat::ppo::{eval, Trainer};
 use autocat_scenario::value::{self, req, u64_from, u64_value, Value};
 use autocat_scenario::Scenario;
+use autocat_store::{codec, now_unix, EntryMeta, Store};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Evaluation lanes used when decoding a report row — the canonical width
 /// shared with `Explorer` (`autocat::ppo::eval::EVAL_LANES`), so a
@@ -119,59 +121,29 @@ impl SweepRow {
     }
 }
 
-/// Checkpoint file a sweep **writes** for a scenario name under `out`:
-/// the binary fast path.
-pub fn checkpoint_path(out: &Path, name: &str) -> PathBuf {
-    out.join(format!("{name}.ckpt.bin"))
-}
-
-/// Checkpoint file to **load** for a scenario name under `out`: the
-/// binary artifact when present, otherwise the legacy `.ckpt.json` from
-/// pre-binary-codec runs (the loader sniffs the codec from the bytes, so
-/// either decodes). Falls back to the binary path when neither exists so
-/// error messages name the file a fresh run would have written.
-pub fn resolve_checkpoint_path(out: &Path, name: &str) -> PathBuf {
-    let binary = checkpoint_path(out, name);
-    if binary.exists() {
-        return binary;
-    }
-    let json = out.join(format!("{name}.ckpt.json"));
-    if json.exists() {
-        json
-    } else {
-        binary
-    }
-}
-
 /// Scenario sidecar file for a scenario name under `out`.
 pub fn scenario_path(out: &Path, name: &str) -> PathBuf {
     out.join(format!("{name}.scenario.json"))
 }
 
 /// The train-spec digest of a scenario: FNV-1a over its canonical JSON
-/// (after any CLI overrides). This is the second half of the store/
-/// manifest index key — two submissions of one scenario name with
+/// (after any CLI overrides). This is the second half of the store's
+/// index key — two submissions of one scenario name with
 /// different seeds, budgets or lane counts index separately.
 pub fn spec_digest(scenario: &Scenario) -> u64 {
     autocat::nn::state::fnv1a(scenario.to_json().into_bytes())
 }
 
-/// Decodes a report row from a trainer whose state equals the checkpoint
-/// on disk — either because the checkpoint was just saved from it, or
-/// because it was just loaded from one.
+/// Decodes a report row from a trainer whose state equals a stored
+/// checkpoint, and returns it with the raw [`eval::EvalStats`] it was
+/// decoded from.
 ///
 /// Evaluates the policy over `scenario.train.eval_episodes` sampled
 /// episodes on [`EVAL_LANES`] batched lanes (sampling, not argmax: the
 /// honest statistic on stochastic backends), then takes a census of the
 /// classified attack categories across every episode. The row's printed
 /// sequence is the first (preferring correct) episode of the majority
-/// category.
-fn report_row(trainer: &mut Trainer<CacheGuessingGame>, scenario: &Scenario) -> SweepRow {
-    row_and_stats(trainer, scenario).0
-}
-
-/// The evaluated [`SweepRow`] plus the raw [`eval::EvalStats`] it was decoded
-/// from. Public so every consumer of a checkpoint-equivalent trainer —
+/// category. Every consumer of a checkpoint-equivalent trainer —
 /// the sweep, `scenario-run --ckpt`, the serving daemon — evaluates
 /// through the *same* code path and therefore produces the same stats
 /// digest for the same checkpoint (the daemon/one-shot bit-identity
@@ -290,137 +262,90 @@ pub fn train_trainer(
     Ok(trainer)
 }
 
-/// Trains one scenario to its budget, writes its artifacts (scenario
-/// sidecar + checkpoint) under `out`, and returns its report row.
+/// Turns a freshly trained trainer into what the checkpoint store keeps:
+/// the canonical checkpoint bytes, encoded *before* evaluation (which
+/// advances the trainer's RNG), then the entry metadata and the evaluated
+/// row with its stats. The sweep and the serving daemon both store
+/// through this, and `scenario-run --ckpt` also saves before evaluating,
+/// so all three write byte-identical checkpoints, and the row is decoded
+/// from exactly the state a later load restores.
+pub fn encode_and_evaluate(
+    trainer: &mut Trainer<CacheGuessingGame>,
+    scenario: &Scenario,
+) -> (Vec<u8>, EntryMeta, SweepRow, eval::EvalStats) {
+    let bytes = codec::encode(&trainer.to_checkpoint_value());
+    let (row, stats) = row_and_stats(trainer, scenario);
+    let (_, net, _) = trainer.parts_mut();
+    let meta = EntryMeta {
+        scenario: scenario.name.clone(),
+        spec_digest: spec_digest(scenario),
+        params_digest: params_digest(net),
+        steps: row.steps,
+        accuracy: row.accuracy(),
+        created_unix: now_unix(),
+    };
+    (bytes, meta, row, stats)
+}
+
+/// Trains one scenario to its budget, stores its checkpoint in `store`,
+/// writes its scenario sidecar under the store root, and returns its
+/// report row.
 ///
 /// # Errors
 ///
 /// Returns an error if the scenario is invalid or an artifact cannot be
 /// written.
-pub fn train_one(scenario: &Scenario, out: &Path) -> Result<SweepRow, String> {
+pub fn train_one(scenario: &Scenario, store: &Mutex<Store>) -> Result<SweepRow, String> {
     let err = |e: String| format!("{}: {e}", scenario.name);
     let mut trainer = train_trainer(scenario, |_, _| {}).map_err(err)?;
-    // Checkpoint first, sidecar last: the sidecar is the discovery key
-    // (`artifact_names`), so a run killed between the two writes leaves
-    // an invisible checkpoint rather than an orphan sidecar that poisons
-    // every later report in this directory.
-    trainer
-        .save_checkpoint(checkpoint_path(out, &scenario.name))
-        .map_err(err)?;
+    let (bytes, meta, row, _) = encode_and_evaluate(&mut trainer, scenario);
+    let mut store = store
+        .lock()
+        .map_err(|_| err("store lock poisoned".into()))?;
+    store.put_bytes(meta, &bytes).map_err(err)?;
+    // The sidecar last: it is the discovery key (`artifact_names`), so a
+    // run killed before this write leaves an object no report looks for,
+    // never a sidecar without a checkpoint.
     scenario
-        .save(scenario_path(out, &scenario.name))
+        .save(scenario_path(store.root(), &scenario.name))
         .map_err(err)?;
-    // The manifest entry last of all: it asserts "this scenario's
-    // artifacts are complete for this exact spec", which is only true
-    // once both files above exist.
-    manifest::record(out, &scenario.name, spec_digest(scenario)).map_err(err)?;
-    // Decode *after* saving: the in-memory state now equals the artifact,
-    // so `row_from_artifacts` reproduces this row exactly.
-    Ok(report_row(&mut trainer, scenario))
+    Ok(row)
 }
 
-/// Whether `--resume` may skip a scenario under `out`: its manifest entry
-/// matches the scenario's current [`spec_digest`] *and* its artifacts are
-/// on disk. A spec change (different seed/budget/lanes via overrides)
-/// misses the manifest and retrains; a deleted checkpoint retrains.
-pub fn resume_complete(out: &Path, scenario: &Scenario) -> bool {
-    manifest::load(out).ok().is_some_and(|manifest| {
-        manifest.get(&scenario.name) == Some(&spec_digest(scenario))
-            && resolve_checkpoint_path(out, &scenario.name).exists()
-            && scenario_path(out, &scenario.name).exists()
-    })
-}
-
-/// The per-run resume manifest: `manifest.json` under the sweep output
-/// directory, mapping scenario name → train-spec digest at the moment the
-/// scenario's artifacts were completely written. [`train_one`] appends to
-/// it (thread-safely — sweeps train scenarios on parallel rayon tasks)
-/// and `sweep --resume` consults it via [`resume_complete`].
-pub mod manifest {
-    use super::{spec_digest, Path, PathBuf, Scenario};
-    use autocat_scenario::value::{self, Value};
-    use std::collections::BTreeMap;
-    use std::sync::Mutex;
-
-    /// Manifest file under a sweep output directory.
-    pub fn path(out: &Path) -> PathBuf {
-        out.join("manifest.json")
-    }
-
-    /// Loads the manifest; a missing file is an empty manifest.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on unreadable or malformed contents.
-    pub fn load(out: &Path) -> Result<BTreeMap<String, u64>, String> {
-        let file = path(out);
-        if !file.exists() {
-            return Ok(BTreeMap::new());
-        }
-        let text = std::fs::read_to_string(&file)
-            .map_err(|e| format!("reading {}: {e}", file.display()))?;
-        let root = value::from_json(&text).map_err(|e| format!("{}: {e}", file.display()))?;
-        root.as_table()?
-            .iter()
-            .map(|(name, digest)| {
-                let digest = u64::from_str_radix(digest.as_str()?, 16)
-                    .map_err(|_| format!("{}: bad digest for `{name}`", file.display()))?;
-                Ok((name.clone(), digest))
-            })
-            .collect()
-    }
-
-    /// Records (or refreshes) one scenario's spec digest. Serialized by a
-    /// process-wide lock and written via rename, so concurrent rayon
-    /// training tasks cannot tear the file.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the manifest cannot be read back or written.
-    pub fn record(out: &Path, name: &str, digest: u64) -> Result<(), String> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK
-            .lock()
-            .map_err(|_| "manifest lock poisoned".to_string())?;
-        let mut entries = load(out)?;
-        entries.insert(name.to_string(), digest);
-        let mut root = Value::table();
-        for (name, digest) in &entries {
-            root.set(name, Value::Str(format!("{digest:016x}")));
-        }
-        let file = path(out);
-        let tmp = out.join("manifest.json.tmp");
-        std::fs::write(&tmp, value::to_json(&root))
-            .map_err(|e| format!("writing {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &file)
-            .map_err(|e| format!("renaming {} -> {}: {e}", tmp.display(), file.display()))
-    }
-
-    /// Convenience for callers holding a scenario: record its current
-    /// spec digest.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`record`]'s errors.
-    pub fn record_scenario(out: &Path, scenario: &Scenario) -> Result<(), String> {
-        record(out, &scenario.name, spec_digest(scenario))
-    }
+/// Whether `--resume` may skip a scenario: the store holds an object for
+/// its `(name, spec digest)` and the sidecar on disk is that same spec. A
+/// spec change (different seed/budget/lanes via overrides) misses the
+/// index and retrains; a deleted object retrains.
+pub fn resume_complete(store: &Store, scenario: &Scenario) -> bool {
+    let spec = spec_digest(scenario);
+    store
+        .lookup(&scenario.name, spec)
+        .is_some_and(|entry| store.object_path(entry.digest).exists())
+        && Scenario::load(scenario_path(store.root(), &scenario.name))
+            .is_ok_and(|sidecar| spec_digest(&sidecar) == spec)
 }
 
 /// Regenerates one report row from artifacts alone: loads the scenario
-/// sidecar, rebuilds its environment, loads the checkpoint and decodes.
+/// sidecar, looks its checkpoint up by name and spec digest, fetches it
+/// digest-verified, rebuilds the environment and decodes.
 ///
 /// # Errors
 ///
-/// Returns an error if either artifact is missing, unparsable or
-/// inconsistent with the other.
-pub fn row_from_artifacts(out: &Path, name: &str) -> Result<SweepRow, String> {
+/// Returns an error if the sidecar or its checkpoint is missing,
+/// corrupted, or inconsistent with the other.
+pub fn row_from_artifacts(store: &Store, name: &str) -> Result<SweepRow, String> {
     let err = |e: String| format!("{name}: {e}");
-    let scenario = Scenario::load(scenario_path(out, name)).map_err(err)?;
+    let scenario = Scenario::load(scenario_path(store.root(), name)).map_err(err)?;
+    let entry = store.lookup(name, spec_digest(&scenario)).ok_or_else(|| {
+        err(format!(
+            "no stored checkpoint for this spec in {}",
+            store.root().display()
+        ))
+    })?;
+    let checkpoint = store.fetch(entry.digest).map_err(err)?;
     let env = scenario.build_env().map_err(err)?;
-    let mut trainer =
-        Trainer::load_checkpoint(resolve_checkpoint_path(out, name), env).map_err(err)?;
-    Ok(report_row(&mut trainer, &scenario))
+    let mut trainer = Trainer::from_checkpoint_value(&checkpoint, env).map_err(err)?;
+    Ok(row_and_stats(&mut trainer, &scenario).0)
 }
 
 /// Lists the scenario names with artifacts under `out` (every
@@ -461,7 +386,7 @@ pub fn sort_rows(rows: &mut [SweepRow]) {
     rows.sort_by_key(|r| name_sort_key(&r.scenario));
 }
 
-/// Extends `rows` with a regenerated row for every artifact under `out`
+/// Extends `rows` with a regenerated row for every artifact in `store`
 /// not already covered, so a written report always reflects the *whole*
 /// artifact directory — a filtered training run must not silently drop
 /// previously-trained scenarios from `report.md`.
@@ -470,12 +395,12 @@ pub fn sort_rows(rows: &mut [SweepRow]) {
 ///
 /// Returns an error if the directory cannot be read or an uncovered
 /// artifact fails to load.
-pub fn fill_missing_rows(out: &Path, rows: &mut Vec<SweepRow>) -> Result<(), String> {
+pub fn fill_missing_rows(store: &Store, rows: &mut Vec<SweepRow>) -> Result<(), String> {
     let covered: std::collections::BTreeSet<String> =
         rows.iter().map(|r| r.scenario.clone()).collect();
-    for name in artifact_names(out)? {
+    for name in artifact_names(store.root())? {
         if !covered.contains(&name) {
-            rows.push(row_from_artifacts(out, &name)?);
+            rows.push(row_from_artifacts(store, &name)?);
         }
     }
     Ok(())
@@ -610,11 +535,11 @@ mod tests {
         scenario
     }
 
-    fn temp_out(name: &str) -> PathBuf {
+    /// A fresh store rooted at a per-test scratch directory.
+    fn temp_store(name: &str) -> Mutex<Store> {
         let dir = std::env::temp_dir().join("autocat-sweep-tests").join(name);
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+        Mutex::new(Store::open(dir).unwrap())
     }
 
     #[test]
@@ -622,14 +547,16 @@ mod tests {
         // The acceptance criterion: train → report, then regenerate the
         // report from the artifacts alone, and demand equality down to the
         // rendered bytes.
-        let out = temp_out("identical-report");
+        let store = temp_store("identical-report");
         let scenario = tiny_scenario();
-        let trained_row = train_one(&scenario, &out).unwrap();
-        write_report(&out, std::slice::from_ref(&trained_row)).unwrap();
+        let trained_row = train_one(&scenario, &store).unwrap();
+        let store = store.into_inner().unwrap();
+        let out = store.root();
+        write_report(out, std::slice::from_ref(&trained_row)).unwrap();
 
-        let names = artifact_names(&out).unwrap();
+        let names = artifact_names(out).unwrap();
         assert_eq!(names, vec![scenario.name.clone()]);
-        let regenerated = row_from_artifacts(&out, &scenario.name).unwrap();
+        let regenerated = row_from_artifacts(&store, &scenario.name).unwrap();
         assert_eq!(regenerated, trained_row, "rows must match field-for-field");
         let rows = std::slice::from_ref(&regenerated);
         assert_eq!(
@@ -646,15 +573,15 @@ mod tests {
     fn filtered_runs_keep_earlier_scenarios_in_the_report() {
         // Two sweeps into one directory with disjoint filters: the report
         // written by the second must still cover the first's scenario.
-        let out = temp_out("incremental");
+        let store = temp_store("incremental");
         let first = tiny_scenario();
-        let first_row = train_one(&first, &out).unwrap();
+        let first_row = train_one(&first, &store).unwrap();
 
         let mut second = tiny_scenario();
         second.name = "tiny-second".into();
-        let mut rows = vec![train_one(&second, &out).unwrap()];
+        let mut rows = vec![train_one(&second, &store).unwrap()];
 
-        fill_missing_rows(&out, &mut rows).unwrap();
+        fill_missing_rows(&store.into_inner().unwrap(), &mut rows).unwrap();
         sort_rows(&mut rows);
         let names: Vec<&str> = rows.iter().map(|r| r.scenario.as_str()).collect();
         assert_eq!(names, [first.name.as_str(), "tiny-second"]);
@@ -689,9 +616,8 @@ mod tests {
         // A sweep row is an N-episode statistic: counts bounded by the
         // episode budget, a census that names the majority category, and a
         // representative sequence drawn from the evaluated episodes.
-        let out = temp_out("row-stats");
         let scenario = tiny_scenario();
-        let row = train_one(&scenario, &out).unwrap();
+        let row = train_one(&scenario, &temp_store("row-stats")).unwrap();
         assert_eq!(row.eval_episodes, scenario.train.eval_episodes as u64);
         assert!(row.correct <= row.guessed);
         assert!(row.guessed <= row.eval_episodes);
@@ -738,56 +664,86 @@ mod tests {
 
     #[test]
     fn missing_artifacts_are_reported_with_the_scenario_name() {
-        let out = temp_out("missing");
-        let err = row_from_artifacts(&out, "table4-1").err().unwrap();
+        let store = temp_store("missing").into_inner().unwrap();
+        let err = row_from_artifacts(&store, "table4-1").err().unwrap();
         assert!(err.contains("table4-1"), "{err}");
     }
 
     #[test]
-    fn checkpoints_are_binary_with_a_json_fallback() {
-        let out = temp_out("binary-artifacts");
+    fn checkpoints_live_in_the_store_and_corruption_is_an_error() {
+        let store = temp_store("store-layout");
         let scenario = tiny_scenario();
-        let row = train_one(&scenario, &out).unwrap();
+        train_one(&scenario, &store).unwrap();
+        let store = store.into_inner().unwrap();
 
-        // The written artifact is the binary fast path...
-        let binary = checkpoint_path(&out, &scenario.name);
-        assert!(binary.to_string_lossy().ends_with(".ckpt.bin"));
-        assert!(binary.exists());
-        assert_eq!(resolve_checkpoint_path(&out, &scenario.name), binary);
+        // The daemon's layout: objects + index, no per-name checkpoint
+        // files and no manifest beside the sidecar.
+        let mut files: Vec<String> = std::fs::read_dir(store.root())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["index.json", "objects", "table4-3.scenario.json"]);
 
-        // ...and a directory from a pre-binary run (JSON checkpoint only)
-        // still reports identically: same tree, either codec.
-        let json = out.join(format!("{}.ckpt.json", scenario.name));
-        let bytes = std::fs::read(&binary).unwrap();
-        let tree = autocat_store::codec::decode(&bytes).unwrap();
-        std::fs::write(&json, autocat_scenario::value::to_json(&tree)).unwrap();
-        std::fs::remove_file(&binary).unwrap();
-        assert_eq!(resolve_checkpoint_path(&out, &scenario.name), json);
-        let regenerated = row_from_artifacts(&out, &scenario.name).unwrap();
-        assert_eq!(regenerated, row, "JSON fallback must reproduce the row");
+        // One flipped byte in the stored object fails the digest check.
+        let entry = store.latest(&scenario.name).unwrap();
+        let object = store.object_path(entry.digest);
+        let mut bytes = std::fs::read(&object).unwrap();
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x01;
+        std::fs::write(&object, bytes).unwrap();
+        let err = row_from_artifacts(&store, &scenario.name).unwrap_err();
+        assert!(err.contains("digest mismatch"), "{err}");
+    }
+
+    #[test]
+    fn spec_digest_survives_the_sidecar_round_trip() {
+        // Report-only lookup keys the store by the *loaded* sidecar's spec
+        // digest, so saving and reloading must never change it.
+        let dir = std::env::temp_dir()
+            .join("autocat-sweep-tests")
+            .join("sidecar-digests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let scenarios = autocat_scenario::all()
+            .into_iter()
+            .chain(autocat_scenario::generate(1, 64));
+        for scenario in scenarios {
+            let path = scenario_path(&dir, &scenario.name);
+            scenario.save(&path).unwrap();
+            let loaded = Scenario::load(&path).unwrap();
+            assert_eq!(
+                spec_digest(&loaded),
+                spec_digest(&scenario),
+                "{}",
+                scenario.name
+            );
+        }
     }
 
     #[test]
     fn resume_skips_only_matching_complete_artifacts() {
-        let out = temp_out("resume");
+        let store = temp_store("resume");
         let scenario = tiny_scenario();
-        assert!(!resume_complete(&out, &scenario), "nothing trained yet");
-
-        train_one(&scenario, &out).unwrap();
-        assert!(resume_complete(&out, &scenario), "trained + manifest match");
-        assert_eq!(
-            manifest::load(&out).unwrap().get(&scenario.name),
-            Some(&spec_digest(&scenario))
+        assert!(
+            !resume_complete(&store.lock().unwrap(), &scenario),
+            "nothing trained yet"
         );
+
+        train_one(&scenario, &store).unwrap();
+        let store = store.into_inner().unwrap();
+        assert!(resume_complete(&store, &scenario), "stored for this spec");
 
         // A different train spec (seed bump) must retrain.
         let mut reseeded = scenario.clone();
         reseeded.train.seed += 1;
-        assert!(!resume_complete(&out, &reseeded), "spec changed");
+        assert!(!resume_complete(&store, &reseeded), "spec changed");
 
-        // A deleted checkpoint must retrain even with a manifest entry.
-        std::fs::remove_file(checkpoint_path(&out, &scenario.name)).unwrap();
-        assert!(!resume_complete(&out, &scenario), "checkpoint gone");
+        // A deleted object must retrain even though the index has an entry.
+        let entry = store
+            .lookup(&scenario.name, spec_digest(&scenario))
+            .unwrap();
+        std::fs::remove_file(store.object_path(entry.digest)).unwrap();
+        assert!(!resume_complete(&store, &scenario), "checkpoint gone");
     }
 
     #[test]

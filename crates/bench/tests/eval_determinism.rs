@@ -12,7 +12,8 @@
 //!   random initialisation.
 
 use autocat::ppo::eval;
-use autocat_bench::sweep::{checkpoint_path, train_trainer};
+use autocat_bench::sweep::train_trainer;
+use autocat_store::Store;
 use rand::Rng;
 use std::path::Path;
 use std::process::Command;
@@ -51,7 +52,11 @@ fn batched_eval_stats_are_bit_identical_across_thread_counts_and_tiers() {
         "sweep failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let ckpt = checkpoint_path(&dir, "table4-6");
+    let store = Store::open(&dir).expect("the sweep's store");
+    let entry = store
+        .latest("table4-6")
+        .expect("a stored table4-6 checkpoint");
+    let ckpt = store.object_path(entry.digest);
 
     let one = eval_digests(&ckpt, "1", &[]);
     for threads in ["2", "4"] {

@@ -271,9 +271,17 @@ pub fn to_json(value: &Value) -> String {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest array/table nesting the decoders accept (these text parsers
+/// and the binary codec in `autocat-store`) — serde_json's default
+/// recursion limit. Decoding recurses once per level, so without a cap a
+/// hostile document of nothing but `[` overflows the stack and aborts the
+/// process instead of returning `Err`.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -281,7 +289,18 @@ impl<'a> Parser<'a> {
         Self {
             src: src.as_bytes(),
             pos: 0,
+            depth: 0,
         }
+    }
+
+    /// Consumes an opening `[`/`{` and descends one nesting level.
+    fn enter(&mut self) -> Result<(), String> {
+        self.pos += 1;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -398,12 +417,13 @@ impl<'a> Parser<'a> {
         match self.peek().ok_or("expected a value")? {
             b'"' => Ok(Value::Str(self.parse_string()?)),
             b'[' => {
-                self.pos += 1;
+                self.enter()?;
                 let mut items = Vec::new();
                 loop {
                     self.skip_ws();
                     if self.peek() == Some(b']') {
                         self.pos += 1;
+                        self.depth -= 1;
                         return Ok(Value::Array(items));
                     }
                     items.push(self.parse_value(sep)?);
@@ -416,12 +436,13 @@ impl<'a> Parser<'a> {
                 }
             }
             b'{' => {
-                self.pos += 1;
+                self.enter()?;
                 let mut map = BTreeMap::new();
                 loop {
                     self.skip_ws();
                     if self.peek() == Some(b'}') {
                         self.pos += 1;
+                        self.depth -= 1;
                         return Ok(Value::Table(map));
                     }
                     let key = self.parse_key()?;
@@ -659,6 +680,23 @@ value = 3
             let back = from_json(&to_json(&v)).unwrap();
             assert_eq!(back.as_f32().unwrap().to_bits(), x.to_bits(), "{x}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128_levels_in_both_codecs() {
+        // 200 KB of `[` must be an Err, not a stack overflow.
+        let deep = "[".repeat(200_000);
+        assert!(from_json(&deep).unwrap_err().contains("nesting"));
+        let err = from_toml(&format!("a = {deep}")).unwrap_err();
+        assert!(err.contains("line 1") && err.contains("nesting"), "{err}");
+        // Exactly at the cap still parses; one level more does not.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_json(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(from_json(&over).is_err());
+        // Depth is nesting, not count: siblings do not accumulate.
+        let wide = format!("[{}{{}}]", "{}, ".repeat(10_000));
+        assert!(from_json(&wide).is_ok());
     }
 
     #[test]

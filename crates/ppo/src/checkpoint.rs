@@ -4,13 +4,11 @@
 //! [`Trainer::save_checkpoint`] captures everything training depends on —
 //! network parameters with their Adam moments, the optimizer step counter,
 //! the master RNG, every VecEnv lane RNG, the step counter and the
-//! trailing episode window — as a [`Value`] tree written out as JSON
-//! (`.json` extension, the interchange/golden form) or as the compact
-//! binary codec from `autocat-store` (any other extension — the hot
-//! path). [`Trainer::load_checkpoint`] sniffs the codec from the bytes
-//! and rebuilds a trainer from the file plus a freshly-built prototype
-//! environment; both codecs carry the identical tree, so the guarantee
-//! below is codec-independent.
+//! trailing episode window — as a [`Value`] tree encoded with the compact
+//! binary codec from `autocat-store` (the same bytes the store and the
+//! serving daemon keep). [`Trainer::load_checkpoint`] decodes those bytes
+//! and rebuilds a trainer from them plus a freshly-built prototype
+//! environment; anything that is not a binary checkpoint is an error.
 //!
 //! # The bit-exact resume guarantee
 //!
@@ -26,9 +24,8 @@
 //! one thing deliberately *not* stored — the next collection discards it
 //! on both sides of the save.
 //!
-//! The float codec is exact (each `f32` is written as its `f64` widening
-//! with shortest-round-trip formatting), so no precision is lost through
-//! the text file.
+//! The float codec is exact (each `f32` is stored as the bit pattern of
+//! its `f64` widening), so no precision is lost through the file.
 //!
 //! One caveat: loading always rebuilds a *homogeneous* VecEnv by cloning
 //! the prototype into every lane. A trainer built over heterogeneous lanes
@@ -40,7 +37,7 @@
 use crate::trainer::{Backbone, PpoConfig, Trainer};
 use autocat_gym::{Environment, VecEnv};
 use autocat_nn::state::{adam_from_value, adam_to_value, load_params, params_to_value};
-use autocat_nn::value::{self, req, u64_from, u64_value, Value};
+use autocat_nn::value::{req, u64_from, u64_value, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -153,23 +150,6 @@ pub fn ppo_config_from_value(value: &Value) -> Result<PpoConfig, String> {
     })
 }
 
-/// Decodes checkpoint bytes in whichever codec they are: framed binary
-/// when the `ACSB` magic leads, JSON text otherwise. This is the single
-/// sniffing point every loader (trainer, store, daemon) goes through.
-///
-/// # Errors
-///
-/// Returns the codec's parse error; never panics on malformed input.
-pub fn checkpoint_value_from_bytes(bytes: &[u8]) -> Result<Value, String> {
-    if autocat_store::codec::is_binary(bytes) {
-        autocat_store::codec::decode(bytes)
-    } else {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| "checkpoint is neither binary (no magic) nor UTF-8 JSON".to_string())?;
-        value::from_json(text)
-    }
-}
-
 fn rng_state_to_value(state: [u64; 4]) -> Value {
     Value::Array(state.iter().map(|&w| u64_value(w)).collect())
 }
@@ -233,11 +213,8 @@ impl<E: Environment + Send> Trainer<E> {
         table
     }
 
-    /// Writes the checkpoint to `path`, creating parent directories as
-    /// needed. The codec follows the extension: `.json` writes the
-    /// interchange JSON text, anything else (canonically `.ckpt.bin`) the
-    /// compact binary form — both carry the identical [`Value`] tree, so
-    /// the choice is pure speed, never fidelity.
+    /// Writes the binary-encoded checkpoint to `path` (canonically
+    /// `*.ckpt.bin`), creating parent directories as needed.
     ///
     /// # Errors
     ///
@@ -248,12 +225,7 @@ impl<E: Environment + Send> Trainer<E> {
             std::fs::create_dir_all(parent)
                 .map_err(|e| format!("creating {}: {e}", parent.display()))?;
         }
-        let tree = self.to_checkpoint_value();
-        let bytes = if path.extension().is_some_and(|e| e == "json") {
-            value::to_json(&tree).into_bytes()
-        } else {
-            autocat_store::codec::encode(&tree)
-        };
+        let bytes = autocat_store::codec::encode(&self.to_checkpoint_value());
         std::fs::write(path, bytes).map_err(|e| format!("writing {}: {e}", path.display()))
     }
 }
@@ -334,20 +306,18 @@ impl<E: Environment + Clone + Send> Trainer<E> {
         })
     }
 
-    /// Loads a checkpoint written by [`Trainer::save_checkpoint`] in
-    /// either codec: the binary magic is sniffed from the bytes, with a
-    /// JSON fallback for legacy text checkpoints regardless of extension.
+    /// Loads a checkpoint written by [`Trainer::save_checkpoint`].
     ///
     /// # Errors
     ///
-    /// Returns an error if the file cannot be read or does not match the
-    /// environment.
+    /// Returns an error naming the file if it cannot be read, is not a
+    /// binary checkpoint, or does not match the environment.
     pub fn load_checkpoint(path: impl AsRef<Path>, env: E) -> Result<Self, String> {
         let path = path.as_ref();
         let bytes = std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let parsed = checkpoint_value_from_bytes(&bytes)
-            .map_err(|e| format!("parsing {}: {e}", path.display()))?;
-        Self::from_checkpoint_value(&parsed, env)
+        autocat_store::codec::decode(&bytes)
+            .and_then(|parsed| Self::from_checkpoint_value(&parsed, env))
+            .map_err(|e| format!("loading {}: {e}", path.display()))
     }
 }
 
@@ -357,6 +327,7 @@ mod tests {
     use crate::eval;
     use autocat_cache::PolicyKind;
     use autocat_gym::{env::CacheGuessingGame, CacheSpec, EnvConfig};
+    use autocat_store::codec;
 
     fn env() -> CacheGuessingGame {
         CacheGuessingGame::new(EnvConfig::flush_reload_fa4().with_window(8)).unwrap()
@@ -440,12 +411,12 @@ mod tests {
 
     #[test]
     fn resume_is_bit_exact_single_lane() {
-        assert_bit_exact_resume(env, 1, "single_lane.ckpt.json");
+        assert_bit_exact_resume(env, 1, "single_lane.ckpt.bin");
     }
 
     #[test]
     fn resume_is_bit_exact_multi_lane() {
-        assert_bit_exact_resume(env, 4, "multi_lane.ckpt.json");
+        assert_bit_exact_resume(env, 4, "multi_lane.ckpt.bin");
     }
 
     #[test]
@@ -454,7 +425,7 @@ mod tests {
         // same resume guarantee as the 1-shard one: grad_shards
         // rides in the checkpointed config, and the fixed-order reduction
         // makes continued training deterministic.
-        assert_bit_exact_resume_sharded(env, 2, 3, "sharded.ckpt.json");
+        assert_bit_exact_resume_sharded(env, 2, 3, "sharded.ckpt.bin");
     }
 
     #[test]
@@ -462,7 +433,7 @@ mod tests {
         // Random replacement draws from the cache's internal RNG; episode
         // resets reseed it from the episode stream (CacheBackend::reseed),
         // which is what makes this hold.
-        assert_bit_exact_resume(random_policy_env, 2, "random_policy.ckpt.json");
+        assert_bit_exact_resume(random_policy_env, 2, "random_policy.ckpt.bin");
     }
 
     #[test]
@@ -473,7 +444,7 @@ mod tests {
         for _ in 0..3 {
             original.train_update();
         }
-        let path = ckpt_path("eval_identical.ckpt.json");
+        let path = ckpt_path("eval_identical.ckpt.bin");
         original.save_checkpoint(&path).unwrap();
         let mut loaded = Trainer::load_checkpoint(&path, env()).unwrap();
 
@@ -496,61 +467,10 @@ mod tests {
         let mut t = trainer(env(), 2, 9);
         t.train_update();
         let saved = t.to_checkpoint_value();
-        let reparsed = value::from_json(&value::to_json(&saved)).unwrap();
-        assert_eq!(reparsed, saved, "JSON text must round-trip the tree");
+        let reparsed = codec::decode(&codec::encode(&saved)).unwrap();
+        assert_eq!(reparsed, saved, "the binary codec must round-trip the tree");
         let mut loaded = Trainer::from_checkpoint_value(&reparsed, env()).unwrap();
         assert_eq!(loaded.to_checkpoint_value(), saved);
-    }
-
-    /// The ISSUE 7 interchange contract: a trained checkpoint pushed
-    /// through JSON and through the binary codec decodes to the *same*
-    /// tree — weights, Adam moments, master RNG and every lane RNG stream
-    /// bit-for-bit — and both loaded trainers keep training identically.
-    fn assert_json_binary_bit_exact(lanes: usize, name: &str) {
-        let mut t = trainer(env(), lanes, 21);
-        for _ in 0..2 {
-            t.train_update();
-        }
-        let saved = t.to_checkpoint_value();
-
-        let via_json = value::from_json(&value::to_json(&saved)).unwrap();
-        let via_binary =
-            autocat_store::codec::decode(&autocat_store::codec::encode(&saved)).unwrap();
-        assert_eq!(via_json, via_binary, "codecs disagree on the tree");
-        assert_eq!(via_binary, saved);
-
-        // Same through the file layer: one save per codec, then the
-        // sniffing loader, then identical continued training.
-        let json_path = ckpt_path(&format!("{name}.ckpt.json"));
-        let bin_path = ckpt_path(&format!("{name}.ckpt.bin"));
-        t.save_checkpoint(&json_path).unwrap();
-        t.save_checkpoint(&bin_path).unwrap();
-        assert!(autocat_store::codec::is_binary(
-            &std::fs::read(&bin_path).unwrap()
-        ));
-        let mut from_json_file = Trainer::load_checkpoint(&json_path, env()).unwrap();
-        let mut from_bin_file = Trainer::load_checkpoint(&bin_path, env()).unwrap();
-        assert_eq!(
-            from_json_file.to_checkpoint_value(),
-            from_bin_file.to_checkpoint_value()
-        );
-        for round in 0..2 {
-            assert_eq!(
-                from_json_file.train_update(),
-                from_bin_file.train_update(),
-                "update {round} diverged between codecs"
-            );
-        }
-    }
-
-    #[test]
-    fn json_and_binary_codecs_are_bit_exact_single_lane() {
-        assert_json_binary_bit_exact(1, "codec_single");
-    }
-
-    #[test]
-    fn json_and_binary_codecs_are_bit_exact_multi_lane() {
-        assert_json_binary_bit_exact(4, "codec_multi");
     }
 
     #[test]
@@ -587,7 +507,7 @@ mod tests {
                 .expect("truncated binary checkpoint must be rejected");
             assert!(err.contains(".ckpt.bin"), "error names the file: {err}");
         }
-        // Non-UTF-8 bytes with no magic: neither codec claims them.
+        // Bytes without the binary magic are not a checkpoint.
         let junk = ckpt_path("junk.ckpt.bin");
         std::fs::write(&junk, [0xFFu8, 0xFE, 0x00, 0x01]).unwrap();
         assert!(Trainer::load_checkpoint(&junk, env()).is_err());
@@ -650,45 +570,30 @@ mod tests {
     }
 
     #[test]
-    fn truncated_checkpoint_file_is_an_error_not_a_panic() {
-        let mut t = trainer(env(), 1, 4);
-        t.train_update();
-        let path = ckpt_path("truncated.ckpt.json");
-        t.save_checkpoint(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        // Cut the file at several depths, including mid-token.
-        for frac in [2usize, 3, 10, 100] {
-            let cut = ckpt_path(&format!("truncated_{frac}.ckpt.json"));
-            std::fs::write(&cut, &text[..text.len() / frac]).unwrap();
-            let err = Trainer::load_checkpoint(&cut, env())
-                .err()
-                .expect("truncated checkpoint must be rejected");
-            assert!(err.contains(".ckpt.json"), "error names the file: {err}");
-        }
-    }
-
-    #[test]
     fn corrupt_checkpoint_files_are_errors_not_panics() {
         let dir = ckpt_path("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
-        for (name, text) in [
-            ("not_json.ckpt.json", "definitely not json"),
-            ("wrong_shape.ckpt.json", "[1, 2, 3]"),
-            ("empty_table.ckpt.json", "{}"),
-            (
-                "mistyped.ckpt.json",
-                "{\"version\": \"one\", \"params\": 5}",
-            ),
+        let mut mistyped = Value::table();
+        mistyped.set("version", Value::Str("one".into()));
+        mistyped.set("params", Value::Int(5));
+        let wrong_shape = Value::Array(vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
+        // Well-framed binary documents whose trees are not checkpoints,
+        // plus JSON text, which is not a checkpoint encoding.
+        for (name, bytes) in [
+            ("wrong_shape.ckpt.bin", codec::encode(&wrong_shape)),
+            ("empty_table.ckpt.bin", codec::encode(&Value::table())),
+            ("mistyped.ckpt.bin", codec::encode(&mistyped)),
+            ("text.ckpt.bin", b"{\"version\": 1}".to_vec()),
         ] {
             let path = dir.join(name);
-            std::fs::write(&path, text).unwrap();
-            assert!(
-                Trainer::load_checkpoint(&path, env()).is_err(),
-                "{name} must fail to load"
-            );
+            std::fs::write(&path, bytes).unwrap();
+            let err = Trainer::load_checkpoint(&path, env())
+                .err()
+                .unwrap_or_else(|| panic!("{name} must fail to load"));
+            assert!(err.contains(name), "error names the file: {err}");
         }
         // A missing file is also an Err (not a panic).
-        assert!(Trainer::load_checkpoint(dir.join("absent.ckpt.json"), env()).is_err());
+        assert!(Trainer::load_checkpoint(dir.join("absent.ckpt.bin"), env()).is_err());
     }
 
     #[test]
@@ -696,8 +601,8 @@ mod tests {
         let mut t = trainer(env(), 1, 5);
         let mut saved = t.to_checkpoint_value();
         saved.set("version", Value::Int(CHECKPOINT_VERSION + 7));
-        let path = ckpt_path("future_version.ckpt.json");
-        std::fs::write(&path, value::to_json(&saved)).unwrap();
+        let path = ckpt_path("future_version.ckpt.bin");
+        std::fs::write(&path, codec::encode(&saved)).unwrap();
         let err = Trainer::load_checkpoint(&path, env())
             .err()
             .expect("future version must be rejected");

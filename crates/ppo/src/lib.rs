@@ -39,11 +39,11 @@
 //! let mut trainer = Trainer::new(env, Backbone::default_mlp(), PpoConfig::default(), 0);
 //! let result = trainer.train_until(0.8, 200_000);
 //! println!("converged: {:?}", result.converged_at_steps);
-//! trainer.save_checkpoint("fr.ckpt.json").unwrap();
+//! trainer.save_checkpoint("fr.ckpt.bin").unwrap();
 //!
 //! // Later (or elsewhere): rebuild the environment, load, keep training.
 //! let env = CacheGuessingGame::new(EnvConfig::flush_reload_fa4()).unwrap();
-//! let mut resumed = Trainer::load_checkpoint("fr.ckpt.json", env).unwrap();
+//! let mut resumed = Trainer::load_checkpoint("fr.ckpt.bin", env).unwrap();
 //! resumed.train_until(0.9, 400_000);
 //! ```
 

@@ -9,7 +9,7 @@
 //! deterministic: the same `(seed, space)` yields a byte-identical
 //! scenario sequence — same names, same JSON/TOML bytes — across
 //! processes and platforms. That determinism is what lets
-//! `sweep --generate N --gen-seed S` feed the resumable manifest
+//! `sweep --generate N --gen-seed S` feed the resumable store-backed
 //! pipeline (a re-run regenerates specs whose digests match) and what
 //! the CI census byte-identity gate pins.
 //!

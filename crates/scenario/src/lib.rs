@@ -326,6 +326,14 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_scenario_text_is_an_error_not_an_abort() {
+        let deep = "[".repeat(200_000);
+        assert!(Scenario::from_json(&deep).is_err());
+        assert!(Scenario::from_json(&format!("{{\"train\": {deep}")).is_err());
+        assert!(Scenario::from_toml(&format!("name = {deep}")).is_err());
+    }
+
+    #[test]
     fn invalid_scenario_is_rejected_at_run() {
         let mut scenario = table4(1).unwrap();
         scenario.env.window_size = 1;

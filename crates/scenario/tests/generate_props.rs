@@ -9,7 +9,7 @@ use proptest::prelude::*;
 proptest! {
     /// Every generated scenario round-trips both text codecs with struct
     /// equality AND byte-identical re-emission (the sweep sidecar /
-    /// manifest-digest contract).
+    /// spec-digest contract).
     #[test]
     fn generated_scenarios_round_trip_both_codecs_byte_identically(
         seed in 0u64..u64::MAX,

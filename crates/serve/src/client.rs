@@ -59,7 +59,7 @@ impl Client {
     /// Returns transport errors and daemon-reported faults alike.
     pub fn request(&mut self, request: &Request) -> Result<Response, String> {
         proto::write_line(&mut self.writer, &request.to_value()).map_err(|e| e.to_string())?;
-        let line = proto::read_line(&mut self.reader)?
+        let line = proto::read_line(&mut self.reader, u64::MAX)?
             .ok_or("daemon closed the connection mid-request")?;
         match Response::from_value(&line)? {
             Response::Error { kind, message } => {
@@ -227,7 +227,7 @@ impl JobHandle {
         )
         .map_err(|e| e.to_string())?;
         loop {
-            let line = proto::read_line(&mut self.client.reader)?
+            let line = proto::read_line(&mut self.client.reader, u64::MAX)?
                 .ok_or("daemon closed the watch stream")?;
             if !proto::is_event(&line) {
                 // A response line inside the stream is the daemon

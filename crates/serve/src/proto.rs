@@ -86,25 +86,41 @@ pub fn write_line(stream: &mut impl Write, payload: &Value) -> std::io::Result<(
     stream.write_all(line.as_bytes())
 }
 
-/// Reads one protocol line; `Ok(None)` is a clean EOF.
+/// Longest request line the daemon reads (newline included). A scenario
+/// submitted inline is ~1.3 KB, so this is a safety cap against a client
+/// that never sends a newline, not a tuning knob.
+pub const MAX_REQUEST_LINE: u64 = 1024 * 1024;
+
+/// Reads one protocol line of at most `max_len` bytes, skipping blank
+/// keep-alive lines; `Ok(None)` is a clean EOF. The daemon passes
+/// [`MAX_REQUEST_LINE`]; the client reads its own daemon's responses
+/// with `u64::MAX` (a `status` listing grows with the job table).
 ///
 /// # Errors
 ///
-/// Returns an error on unreadable input or malformed JSON.
-pub fn read_line(reader: &mut impl BufRead) -> Result<Option<Value>, String> {
-    let mut line = String::new();
-    let n = reader
-        .read_line(&mut line)
-        .map_err(|e| format!("reading protocol line: {e}"))?;
-    if n == 0 {
-        return Ok(None);
+/// Returns an error on unreadable input, a line longer than `max_len`,
+/// or malformed JSON.
+pub fn read_line(reader: &mut impl BufRead, max_len: u64) -> Result<Option<Value>, String> {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let n = reader
+            .take(max_len.saturating_add(1))
+            .read_until(b'\n', &mut line)
+            .map_err(|e| format!("reading protocol line: {e}"))?;
+        if n == 0 {
+            return Ok(None);
+        }
+        if n as u64 > max_len {
+            return Err(format!("protocol line longer than {max_len} bytes"));
+        }
+        let text = std::str::from_utf8(&line)
+            .map_err(|_| "protocol line is not UTF-8".to_string())?
+            .trim();
+        if !text.is_empty() {
+            return value::from_json(text).map(Some);
+        }
     }
-    let line = line.trim();
-    if line.is_empty() {
-        // Tolerate blank keep-alive lines between requests.
-        return read_line(reader);
-    }
-    value::from_json(line).map(Some)
 }
 
 /// Writes `bytes` as length-prefixed chunks plus the zero-length
@@ -1074,11 +1090,32 @@ mod tests {
         write_line(&mut wire, &Response::Pong.to_value()).unwrap();
 
         let mut reader = std::io::BufReader::new(wire.as_slice());
-        let first = read_line(&mut reader).unwrap().unwrap();
+        let first = read_line(&mut reader, MAX_REQUEST_LINE).unwrap().unwrap();
         assert_eq!(Request::from_value(&first).unwrap(), Request::Ping);
-        let second = read_line(&mut reader).unwrap().unwrap();
+        let second = read_line(&mut reader, MAX_REQUEST_LINE).unwrap().unwrap();
         assert_eq!(Response::from_value(&second).unwrap(), Response::Pong);
-        assert!(read_line(&mut reader).unwrap().is_none(), "clean EOF");
+        assert!(
+            read_line(&mut reader, MAX_REQUEST_LINE).unwrap().is_none(),
+            "clean EOF"
+        );
+    }
+
+    #[test]
+    fn hostile_lines_are_errors_not_aborts() {
+        let read = |wire: &[u8]| read_line(&mut std::io::BufReader::new(wire), MAX_REQUEST_LINE);
+        // 200 KB of `[`: the parser's depth cap, not a stack overflow.
+        let mut deep = vec![b'['; 200_000];
+        deep.push(b'\n');
+        assert!(read(&deep).unwrap_err().contains("nesting"));
+        // 200 000 blank keep-alive lines are skipped iteratively.
+        let mut blank = vec![b'\n'; 200_000];
+        write_line(&mut blank, &Request::Ping.to_value()).unwrap();
+        let request = read(&blank).unwrap().expect("a request after the blanks");
+        assert_eq!(Request::from_value(&request).unwrap(), Request::Ping);
+        // A 2 MiB line is refused at the cap, before it is parsed.
+        let mut long = vec![b' '; 2 << 20];
+        long.push(b'\n');
+        assert!(read(&long).unwrap_err().contains("longer than"));
     }
 
     #[test]

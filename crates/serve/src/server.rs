@@ -12,7 +12,7 @@
 //! worker claims the highest-priority queued job (FIFO within a
 //! priority), marks it **running**, and trains it through the *same*
 //! shared code path as one-shot `scenario-run`/`sweep`
-//! (`autocat_bench::sweep::train_trainer` + `row_and_stats`), appending
+//! (`autocat_bench::sweep::train_trainer` + `encode_and_evaluate`), appending
 //! `(steps, avg return)` to the job's progress log after every PPO
 //! update. On success the canonical binary checkpoint bytes go into the
 //! content-addressed store and the job becomes **done**, carrying the
@@ -44,7 +44,7 @@
 //!
 //! A daemon job is bit-identical to its one-shot equivalent: same
 //! training loop (the progress callback is observation-only), same
-//! save-then-evaluate order as `sweep::train_one`, same evaluation plan
+//! encode-then-evaluate step as `sweep::train_one`, same evaluation plan
 //! (`row_and_stats` → `EVAL_LANES` lanes, the scenario's episode budget).
 //! ci.sh holds this gate by comparing the streamed object's bytes and
 //! both digests against a `scenario-run --ckpt` of the same scenario +
@@ -57,11 +57,10 @@ use crate::proto::{
     Response, Which, PROTOCOL_VERSION,
 };
 use autocat_bench::cli::TrainOverrides;
-use autocat_bench::sweep::{row_and_stats, spec_digest, train_trainer};
-use autocat_nn::state::params_digest;
+use autocat_bench::sweep::{encode_and_evaluate, spec_digest, train_trainer};
 use autocat_scenario::value::{self, req, u64_from, u64_value, Value};
 use autocat_scenario::Scenario;
-use autocat_store::{codec, EntryMeta, Journal, RetentionPolicy, Store, StoreEntry};
+use autocat_store::{now_unix, Journal, RetentionPolicy, Store, StoreEntry};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
@@ -125,14 +124,6 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// [`Condvar::wait`] with the same poison recovery as [`lock`].
 fn wait<'a, T>(signal: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     signal.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-fn now_unix() -> u64 {
-    // lint: allow(D2) -- store-entry `created_unix` is gc metadata, never digested
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -349,7 +340,6 @@ fn worker_loop(shared: &Shared) {
 /// Trains one job through the shared one-shot code path and stores the
 /// checkpoint. See the module docs for the determinism contract.
 fn run_job(shared: &Shared, id: u64, scenario: &Scenario) -> Result<(), String> {
-    let spec = spec_digest(scenario);
     let mut trainer = train_trainer(scenario, |steps, avg_return| {
         if let Ok(mut jobs) = shared.jobs.lock() {
             if let Some(job) = jobs.iter_mut().find(|j| j.status.job == id) {
@@ -360,25 +350,9 @@ fn run_job(shared: &Shared, id: u64, scenario: &Scenario) -> Result<(), String> 
         }
         shared.signal.notify_all();
     })?;
-    // Capture the canonical bytes *before* evaluation — the exact order
-    // `sweep::train_one` and `scenario-run --ckpt` save in, which is what
-    // makes the stored object byte-identical to theirs.
-    let bytes = codec::encode(&trainer.to_checkpoint_value());
-    let (row, stats) = row_and_stats(&mut trainer, scenario);
-    let (_, net, _) = trainer.parts_mut();
-    let params = params_digest(net);
-
-    let digest = lock(&shared.store).put_bytes(
-        EntryMeta {
-            scenario: scenario.name.clone(),
-            spec_digest: spec,
-            params_digest: params,
-            steps: row.steps,
-            accuracy: row.accuracy(),
-            created_unix: now_unix(),
-        },
-        &bytes,
-    )?;
+    let (bytes, meta, row, stats) = encode_and_evaluate(&mut trainer, scenario);
+    let params = meta.params_digest;
+    let digest = lock(&shared.store).put_bytes(meta, &bytes)?;
 
     let mut jobs = lock(&shared.jobs);
     let job = jobs
@@ -406,7 +380,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream, local: &str) -> Result<(
     let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
     let mut reader = BufReader::new(stream);
     let mut greeted = false;
-    while let Some(line) = proto::read_line(&mut reader)? {
+    while let Some(line) = proto::read_line(&mut reader, proto::MAX_REQUEST_LINE)? {
         let request = match Request::from_value(&line) {
             Ok(request) => request,
             Err(e) => {

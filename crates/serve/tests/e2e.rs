@@ -180,3 +180,36 @@ fn daemon_round_trip_is_bit_identical_to_one_shot() {
     assert!(status.success(), "daemon exited {status}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn hostile_request_lines_drop_only_their_own_connection() {
+    use std::io::{Read, Write};
+    let dir = std::env::temp_dir().join(format!("autocat-serve-hostile-{}", std::process::id()));
+    let store = dir.join("store");
+    std::fs::create_dir_all(&store).expect("creating store dir");
+    let mut daemon = Daemon::spawn(&store);
+
+    // 200 KB of `[` (the parser's depth cap) and a 2 MiB line (the line
+    // cap), each on its own connection: the daemon closes that
+    // connection instead of aborting.
+    let mut deep = vec![b'['; 200_000];
+    deep.push(b'\n');
+    let mut long = vec![b' '; 2 << 20];
+    long.push(b'\n');
+    for line in [deep, long] {
+        let mut stream = std::net::TcpStream::connect(&daemon.addr).expect("connecting");
+        // The daemon may hang up mid-write; only its survival matters.
+        let _ = stream.write_all(&line);
+        let _ = stream.read_to_end(&mut Vec::new());
+    }
+
+    // A new connection still handshakes and is served.
+    let mut client = autocat_serve::client::Client::connect(&daemon.addr).expect("handshake");
+    client.ping().expect("ping after hostile lines");
+    drop(client);
+
+    daemon.client(&["shutdown"]);
+    let status = daemon.child.wait().expect("daemon exit status");
+    assert!(status.success(), "daemon exited {status}");
+    std::fs::remove_dir_all(&dir).ok();
+}

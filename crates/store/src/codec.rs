@@ -7,8 +7,8 @@
 //! (floats as raw `f64` bit patterns, integers little-endian), so
 //! `encode`/`decode` is a bit-exact inverse pair **and** agrees with the
 //! JSON codec tree-for-tree: `decode(encode(v)) == v == from_json(to_json(v))`
-//! for every tree both codecs accept. JSON stays the interchange/golden
-//! form; binary is the hot path.
+//! for every tree both codecs accept. Binary is the only checkpoint codec;
+//! JSON remains the human-readable form of the golden fixture.
 //!
 //! # Wire format
 //!
@@ -26,9 +26,10 @@
 //! Tables serialize in `BTreeMap` key order, so encoding is a pure
 //! function of the tree — the property the content-addressed store's
 //! digests rely on. Trailing bytes after the root value are an error
-//! (a truncated *or* padded file must never decode).
+//! (a truncated *or* padded file must never decode), and so is nesting
+//! deeper than [`MAX_DEPTH`] (the decoder recurses once per level).
 
-use autocat_nn::value::Value;
+use autocat_nn::value::{Value, MAX_DEPTH};
 use std::collections::BTreeMap;
 
 /// Leading magic of every binary value file.
@@ -44,8 +45,7 @@ const TAG_BOOL: u8 = 3;
 const TAG_ARRAY: u8 = 4;
 const TAG_TABLE: u8 = 5;
 
-/// Whether `bytes` starts with the binary-codec magic — the sniff used by
-/// loaders that fall back to JSON for legacy files.
+/// Whether `bytes` starts with the binary-codec magic.
 pub fn is_binary(bytes: &[u8]) -> bool {
     bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
 }
@@ -134,6 +134,7 @@ pub fn decode(bytes: &[u8]) -> Result<Value, String> {
     let mut cursor = Cursor {
         bytes,
         pos: MAGIC.len() + 2,
+        depth: 0,
     };
     let value = cursor.value()?;
     if cursor.pos != bytes.len() {
@@ -148,6 +149,7 @@ pub fn decode(bytes: &[u8]) -> Result<Value, String> {
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Cursor<'_> {
@@ -183,6 +185,15 @@ impl Cursor<'_> {
         String::from_utf8(raw.to_vec()).map_err(|_| "invalid UTF-8 in string".to_string())
     }
 
+    /// Descends one array/table level, refusing to pass [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), String> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        Ok(())
+    }
+
     fn value(&mut self) -> Result<Value, String> {
         match self.u8()? {
             TAG_STR => Ok(Value::Str(self.string()?)),
@@ -205,20 +216,24 @@ impl Cursor<'_> {
             },
             TAG_ARRAY => {
                 let count = self.len()?;
+                self.enter()?;
                 let mut items = Vec::new();
                 for _ in 0..count {
                     items.push(self.value()?);
                 }
+                self.depth -= 1;
                 Ok(Value::Array(items))
             }
             TAG_TABLE => {
                 let count = self.len()?;
+                self.enter()?;
                 let mut map = BTreeMap::new();
                 for _ in 0..count {
                     let key = self.string()?;
                     let item = self.value()?;
                     map.insert(key, item);
                 }
+                self.depth -= 1;
                 Ok(Value::Table(map))
             }
             other => Err(format!("unknown value tag {other}")),
@@ -341,6 +356,25 @@ mod tests {
         let mut bad_bool = encode(&Value::Bool(true));
         *bad_bool.last_mut().unwrap() = 7;
         assert!(decode(&bad_bool).unwrap_err().contains("bool"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // 40 000 nested one-element arrays (200 KB): Err, never an abort.
+        let mut bytes = encode(&Value::Int(0))[..6].to_vec();
+        for _ in 0..40_000 {
+            bytes.extend_from_slice(&[TAG_ARRAY, 1, 0, 0, 0]);
+        }
+        assert!(decode(&bytes).unwrap_err().contains("nesting"));
+        // The JSON parser's limit applies here too: containers count, so
+        // a leaf at the deepest allowed level still decodes.
+        let mut at_cap = Value::Array(vec![Value::Int(1)]);
+        for _ in 1..MAX_DEPTH {
+            at_cap = Value::Array(vec![at_cap]);
+        }
+        assert_eq!(decode(&encode(&at_cap)).unwrap(), at_cap);
+        let over = Value::Array(vec![at_cap]);
+        assert!(decode(&encode(&over)).is_err());
     }
 
     #[test]

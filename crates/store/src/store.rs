@@ -40,6 +40,17 @@ pub fn digest_from_hex(text: &str) -> Result<u64, String> {
     u64::from_str_radix(text, 16).map_err(|_| format!("bad digest `{text}`"))
 }
 
+/// The wall-clock time in Unix seconds, for [`EntryMeta::created_unix`]
+/// and [`Store::gc`]'s age rule: the one clock read of every process
+/// that writes to a store (0 if the clock is before the epoch).
+pub fn now_unix() -> u64 {
+    // lint: allow(D2) -- store-entry `created_unix` is gc metadata, never digested
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .unwrap_or(0)
+}
+
 /// Everything the index records about one stored checkpoint.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StoreEntry {
