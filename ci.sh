@@ -54,8 +54,14 @@ cargo run --release -q -p autocat-lint
 # the unit suites.
 
 echo "==> smoke: scenario-run trains table4-6 for a short budget"
+SMOKE_LOG=$(mktemp)
 cargo run --release -q -p autocat-bench --bin scenario-run -- \
-    --scenario table4-6 --steps 4096 --lanes 2 --shards 2
+    --scenario table4-6 --steps 4096 --lanes 2 --shards 2 | tee "$SMOKE_LOG"
+# Without --ckpt the run still reports through the shared train/report
+# path, so both bit-identity fingerprints are printed.
+grep -q "^params digest : " "$SMOKE_LOG"
+grep -q "^eval digest   : " "$SMOKE_LOG"
+rm -f "$SMOKE_LOG"
 
 echo "==> smoke: daemon round trip is bit-identical to one-shot scenario-run"
 # Boot the daemon on a free loopback port, train a short job through it,

@@ -17,12 +17,12 @@
 //! # Where this sits in the pipeline
 //!
 //! The RL loop (`autocat-ppo`) ends with a converged policy; this crate
-//! turns that policy's behavior back into *security knowledge*. Greedy
-//! replay (`autocat_ppo::eval::extract_sequence`) decodes the policy into
-//! an action sequence, and [`classify::classify_sequence`] names the
-//! attack family the agent rediscovered — the label printed in the
-//! paper's Table IV "attack" column, in `Explorer` reports, and in the
-//! `sweep` harness's reproduction report. The scripted agents in
+//! turns that policy's behavior back into *security knowledge*. The
+//! `sweep` report (shared by `scenario-run`, the table harnesses and the
+//! daemon) evaluates the policy over many sampled episodes, and
+//! [`classify::classify_sequence`] names the attack family of each one;
+//! the majority of that census is the label printed in the paper's
+//! Table IV "attack" column. The scripted agents in
 //! [`textbook`] close the loop from the other side: they replay the
 //! literature's attacks against the same environments so RL-found
 //! sequences can be benchmarked against their hand-written ancestors.

@@ -3,8 +3,7 @@
 
 use autocat::attacks::stealthy::StealthyStreamline;
 use autocat::cache::{Cache, CacheConfig, Domain, PolicyKind};
-use autocat::gym::{EnvConfig, MonitorSpec};
-use autocat_bench::{print_header, standard_explorer, Budget};
+use autocat_bench::{print_header, train_and_report, Budget};
 
 fn main() {
     let budget = Budget::from_env();
@@ -12,18 +11,17 @@ fn main() {
         "Fig. 4(b): sequence found by RL under miss-based detection",
         "",
     );
-    let cfg =
-        EnvConfig::replacement_study(PolicyKind::Lru).with_detection(MonitorSpec::strict_miss());
-    let report = standard_explorer(cfg, 4, budget)
-        .return_threshold(0.85)
-        .run()
-        .expect("valid fig4 config");
+    let mut scenario = autocat_scenario::defense_misscount();
+    scenario.train.seed = 4;
+    scenario.train.return_threshold = 0.85;
+    budget.apply(&mut scenario);
+    let row = train_and_report(&scenario).expect("valid fig4 config");
     println!(
         "RL sequence: {}   accuracy {:.3}  category {}{}",
-        report.sequence_notation,
-        report.accuracy,
-        report.category,
-        if report.converged {
+        row.sequence,
+        row.accuracy(),
+        row.category,
+        if row.converged {
             ""
         } else {
             "  [not converged]"

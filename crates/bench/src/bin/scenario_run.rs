@@ -7,24 +7,28 @@
 //! scenario-run --scenario table4-1 --steps 50000 --seed 3 --lanes 4
 //! scenario-run --scenario table4-6 --shards 8 --threads 8   # data-parallel update
 //! scenario-run --scenario table4-16 --export cfg16.toml   # write, don't run
-//! scenario-run --scenario table4-3 --ckpt runs/t3.ckpt.bin  # train-or-load + digests
+//! scenario-run --scenario table4-3 --ckpt runs/t3.ckpt.bin  # train-or-load
 //! ```
 //!
-//! `--ckpt PATH` routes the run through the checkpoint layer: when the
-//! file exists the policy is loaded from it (a binary checkpoint, as
-//! written here, by `sweep` or fetched from the daemon; anything else is
-//! an error) and only evaluated; otherwise the scenario trains through
-//! the same shared path the sweep and the serving daemon use and the
-//! checkpoint is written there. Either
-//! way the run prints `params digest`/`eval digest` lines, which is what
-//! lets ci.sh assert a daemon-trained checkpoint is bit-identical to this
-//! one-shot equivalent.
+//! Every run trains through the same shared path the sweep and the
+//! serving daemon use (`sweep::train_trainer`) and reports through
+//! `sweep::row_and_stats`: the census-named attack category, a
+//! representative sequence, the evaluation statistics and the
+//! `params digest`/`eval digest` lines that let ci.sh assert a
+//! daemon-trained checkpoint is bit-identical to this one-shot
+//! equivalent.
+//!
+//! `--ckpt PATH` adds the checkpoint layer: when the file exists the
+//! policy is loaded from it (a binary checkpoint, as written here, by
+//! `sweep` or fetched from the daemon; anything else is an error) and only
+//! evaluated; otherwise the trained checkpoint is written there.
 
 use autocat::nn::state::params_digest;
 use autocat::ppo::Trainer;
 use autocat_bench::cli::TrainOverrides;
 use autocat_bench::sweep::{row_and_stats, train_trainer};
 use autocat_scenario::Scenario;
+use std::path::Path;
 
 struct Args {
     scenario: Option<String>,
@@ -71,20 +75,25 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The `--ckpt` path: load the checkpoint if present, else train through
-/// the shared sweep/daemon code path and save it. Prints the row plus the
-/// two bit-identity fingerprints.
-fn run_with_checkpoint(scenario: &Scenario, ckpt: &str) -> Result<(), String> {
-    let path = std::path::Path::new(ckpt);
-    let mut trainer = if path.exists() {
-        println!("loading  : {ckpt}");
-        let env = scenario.build_env()?;
-        Trainer::load_checkpoint(path, env)?
-    } else {
-        let mut trainer = train_trainer(scenario, |_, _| {})?;
-        trainer.save_checkpoint(path)?;
-        println!("wrote    : {ckpt}");
-        trainer
+/// Trains the scenario through the shared sweep/daemon code path — or,
+/// with `--ckpt` pointing at an existing file, loads the policy from it —
+/// then prints the report row plus the two bit-identity fingerprints. A
+/// fresh `--ckpt` path is written before evaluation, so a run prints the
+/// same lines with or without it.
+fn run(scenario: &Scenario, ckpt: Option<&str>) -> Result<(), String> {
+    let mut trainer = match ckpt {
+        Some(ckpt) if Path::new(ckpt).exists() => {
+            println!("loading  : {ckpt}");
+            Trainer::load_checkpoint(ckpt, scenario.build_env()?)?
+        }
+        _ => {
+            let mut trainer = train_trainer(scenario, |_, _| {})?;
+            if let Some(ckpt) = ckpt {
+                trainer.save_checkpoint(ckpt)?;
+                println!("wrote    : {ckpt}");
+            }
+            trainer
+        }
     };
     let (row, stats) = row_and_stats(&mut trainer, scenario);
     println!("sequence : {}", row.sequence);
@@ -150,26 +159,8 @@ fn main() {
         scenario.train.seed,
         scenario.train.ppo.num_lanes
     );
-    if let Some(ckpt) = &args.ckpt {
-        if let Err(e) = run_with_checkpoint(&scenario, ckpt) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    let report = scenario.run().unwrap_or_else(|e| {
+    if let Err(e) = run(&scenario, args.ckpt.as_deref()) {
         eprintln!("error: {e}");
         std::process::exit(1);
-    });
-    println!("sequence : {}", report.sequence_notation);
-    println!("category : {}", report.category);
-    println!(
-        "accuracy : {:.3} over {} episodes (detection rate {:.3})",
-        report.accuracy, report.eval_episodes, report.detection_rate
-    );
-    println!("steps    : {}", report.training_steps);
-    match report.epochs_to_converge {
-        Some(epochs) => println!("converged: {epochs:.1} paper-epochs (3000 steps each)"),
-        None => println!("converged: no (raise --steps for a full run)"),
     }
 }

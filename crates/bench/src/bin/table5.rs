@@ -1,8 +1,7 @@
 //! Table V: RL training statistics per deterministic replacement policy.
 
 use autocat::cache::PolicyKind;
-use autocat::gym::EnvConfig;
-use autocat_bench::{print_header, standard_explorer, Budget};
+use autocat_bench::{epochs_to_converge, print_header, train_and_report, Budget};
 
 fn main() {
     let budget = Budget::from_env();
@@ -16,17 +15,17 @@ fn main() {
         let mut runs_converged = 0u64;
         let mut last_seq = String::new();
         for run in 0..budget.runs() {
-            let cfg = EnvConfig::replacement_study(policy);
-            let report = standard_explorer(cfg, 10 * run + 1, budget)
-                .return_threshold(0.85)
-                .run()
-                .expect("valid replacement config");
-            if let Some(e) = report.epochs_to_converge {
+            let mut scenario = autocat_scenario::replacement(policy);
+            scenario.train.seed = 10 * run + 1;
+            scenario.train.return_threshold = 0.85;
+            budget.apply(&mut scenario);
+            let row = train_and_report(&scenario).expect("valid replacement config");
+            if let Some(e) = epochs_to_converge(&row, &scenario) {
                 epochs_sum += e;
                 runs_converged += 1;
             }
-            len_sum += report.episode_length as f64;
-            last_seq = report.sequence_notation;
+            len_sum += row.avg_length as f64;
+            last_seq = row.sequence;
         }
         let runs = budget.runs() as f64;
         println!(

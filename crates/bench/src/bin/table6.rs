@@ -1,8 +1,7 @@
 //! Table VI: random replacement policy — step-reward sweep.
 
 use autocat::cache::PolicyKind;
-use autocat::gym::EnvConfig;
-use autocat_bench::{print_header, standard_explorer, Budget};
+use autocat_bench::{print_header, train_and_report, Budget};
 
 fn main() {
     let budget = Budget::from_env();
@@ -11,19 +10,21 @@ fn main() {
         "Step reward | End accuracy | Episode length",
     );
     for (i, step_reward) in [-0.02f32, -0.01, -0.005].iter().enumerate() {
-        let mut cfg = EnvConfig::replacement_study(PolicyKind::Random);
-        cfg.rewards.step = *step_reward;
-        cfg.window_size = 28;
-        let report = standard_explorer(cfg, 20 + i as u64, budget)
-            // The random policy caps achievable return below the
-            // deterministic case; accept convergence earlier.
-            .return_threshold(0.6)
-            .eval_episodes(100)
-            .run()
-            .expect("valid random-policy config");
+        let mut scenario = autocat_scenario::replacement(PolicyKind::Random);
+        scenario.env.rewards.step = *step_reward;
+        scenario.env.window_size = 28;
+        scenario.train.seed = 20 + i as u64;
+        // The random policy caps achievable return below the
+        // deterministic case; accept convergence earlier.
+        scenario.train.return_threshold = 0.6;
+        scenario.train.eval_episodes = 100;
+        budget.apply(&mut scenario);
+        let row = train_and_report(&scenario).expect("valid random-policy config");
         println!(
             "{:>11} | {:>12.2} | {:>14.2}",
-            step_reward, report.accuracy, report.episode_length
+            step_reward,
+            row.accuracy(),
+            row.avg_length
         );
     }
     println!("\n(expected shape: smaller |step reward| -> longer episodes, accuracy trade-off)");

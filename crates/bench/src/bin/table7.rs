@@ -1,7 +1,8 @@
 //! Table VII: PLRU with and without the PL cache.
 
 use autocat::gym::EnvConfig;
-use autocat_bench::{print_header, standard_explorer, Budget};
+use autocat_bench::{epochs_to_converge, print_header, train_and_report, Budget};
+use autocat_scenario::Scenario;
 
 fn main() {
     let budget = Budget::from_env();
@@ -15,17 +16,17 @@ fn main() {
         let mut converged = 0u64;
         let mut seq = String::new();
         for run in 0..budget.runs() {
-            let cfg = EnvConfig::pl_cache_study(locked);
-            let report = standard_explorer(cfg, 30 + run, budget)
-                .return_threshold(0.85)
-                .run()
-                .expect("valid PL config");
-            if let Some(e) = report.epochs_to_converge {
+            let mut scenario = Scenario::new(label, label, EnvConfig::pl_cache_study(locked));
+            scenario.train.seed = 30 + run;
+            scenario.train.return_threshold = 0.85;
+            budget.apply(&mut scenario);
+            let row = train_and_report(&scenario).expect("valid PL config");
+            if let Some(e) = epochs_to_converge(&row, &scenario) {
                 epochs_sum += e;
                 converged += 1;
             }
-            len_sum += report.episode_length as f64;
-            seq = report.sequence_notation;
+            len_sum += row.avg_length as f64;
+            seq = row.sequence;
         }
         println!(
             "{:<9} | {:>18} | {:>20.1} | {}",

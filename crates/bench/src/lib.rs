@@ -11,8 +11,8 @@ pub mod census;
 pub mod cli;
 pub mod sweep;
 
-use autocat::gym::EnvConfig;
-use autocat::ppo::{Backbone, PpoConfig};
+use autocat_scenario::Scenario;
+use sweep::SweepRow;
 
 /// Run budget selected via the `AUTOCAT_BUDGET` environment variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,18 +64,34 @@ impl Budget {
             Budget::Full => 4,
         }
     }
+
+    /// Applies the budget's step cap and lane count to `scenario`.
+    pub fn apply(self, scenario: &mut Scenario) {
+        scenario.train.max_steps = self.max_steps();
+        scenario.train.ppo.num_lanes = self.lanes();
+    }
 }
 
-/// The standard explorer setup used by the training-based tables.
-pub fn standard_explorer(config: EnvConfig, seed: u64, budget: Budget) -> autocat::Explorer {
-    autocat::Explorer::new(config)
-        .seed(seed)
-        .max_steps(budget.max_steps())
-        .backbone(Backbone::Mlp {
-            hidden: vec![64, 64],
-        })
-        .ppo(PpoConfig::small_env())
-        .lanes(budget.lanes())
+/// Trains `scenario` through the shared sweep path
+/// ([`sweep::train_trainer`]) and reports its row
+/// ([`sweep::row_and_stats`]): the census-named attack, its representative
+/// sequence and the evaluation statistics.
+///
+/// # Errors
+///
+/// Returns an error if the scenario's environment cannot be built.
+pub fn train_and_report(scenario: &Scenario) -> Result<SweepRow, String> {
+    let mut trainer = sweep::train_trainer(scenario, |_, _| {})?;
+    Ok(sweep::row_and_stats(&mut trainer, scenario).0)
+}
+
+/// Paper-style epochs to convergence (`steps / ppo.steps_per_epoch`; an
+/// epoch is 3000 steps by default), or `None` if the row did not
+/// converge. Training stops at the update that converges, so for a
+/// converged run this is `Trainer::train_until`'s `converged_at_epochs`.
+pub fn epochs_to_converge(row: &SweepRow, scenario: &Scenario) -> Option<f64> {
+    row.converged
+        .then(|| row.steps as f64 / scenario.train.ppo.steps_per_epoch as f64)
 }
 
 /// Prints a table header with a separator line.
@@ -108,6 +124,31 @@ mod tests {
         assert!(
             Budget::Full.lanes() > 1,
             "full runs use the vectorized engine"
+        );
+    }
+
+    #[test]
+    fn converged_epochs_match_train_until() {
+        // table4-6 passes a -0.3 trailing return within a few updates; a
+        // non-default epoch length shows the divisor comes from the spec.
+        let mut scenario = autocat_scenario::table4(6).unwrap();
+        scenario.train.max_steps = 40_000;
+        scenario.train.return_threshold = -0.3;
+        scenario.train.ppo.steps_per_epoch = 1000;
+        let mut trainer = autocat::ppo::Trainer::new(
+            scenario.build_env().unwrap(),
+            scenario.train.backbone.clone(),
+            scenario.train.ppo,
+            scenario.train.seed,
+        );
+        let result = trainer.train_until(scenario.train.return_threshold, scenario.train.max_steps);
+        assert!(result.converged_at_epochs.is_some(), "{result:?}");
+
+        let row = train_and_report(&scenario).unwrap();
+        assert!(row.converged);
+        assert_eq!(
+            epochs_to_converge(&row, &scenario),
+            result.converged_at_epochs
         );
     }
 }

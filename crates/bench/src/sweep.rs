@@ -56,9 +56,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Evaluation lanes used when decoding a report row — the canonical width
-/// shared with `Explorer` (`autocat::ppo::eval::EVAL_LANES`), so a
-/// scenario evaluated by `scenario-run` and by the sweep report sees the
-/// identical sampling plan. Fixed (not a CLI knob) because the lane split
+/// `autocat::ppo::eval::EVAL_LANES`, so every report of a scenario sees
+/// the identical sampling plan. Fixed (not a CLI knob) because the lane split
 /// is part of that plan: the same artifacts must yield the same rows on
 /// every machine.
 pub use autocat::ppo::eval::EVAL_LANES;

@@ -1,18 +1,22 @@
-//! The `scenario-run --ckpt` driver shared by the subprocess determinism
-//! tests.
+//! The `scenario-run` driver shared by the subprocess tests.
 
 use std::path::Path;
 use std::process::Command;
 
-/// Runs `scenario-run --ckpt ckpt` with `args` under `threads` pool
-/// threads plus the extra environment `envs`, checks that it succeeded,
-/// and returns its stdout.
-pub fn scenario_run(args: &[&str], ckpt: &Path, threads: &str, envs: &[(&str, &str)]) -> String {
+/// Runs `scenario-run` with `args` (plus `--ckpt ckpt` when given) under
+/// `threads` pool threads plus the extra environment `envs`, checks that
+/// it succeeded, and returns its stdout.
+pub fn scenario_run(
+    args: &[&str],
+    ckpt: Option<&Path>,
+    threads: &str,
+    envs: &[(&str, &str)],
+) -> String {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_scenario-run"));
-    cmd.args(args)
-        .arg("--ckpt")
-        .arg(ckpt)
-        .env("RAYON_NUM_THREADS", threads);
+    cmd.args(args).env("RAYON_NUM_THREADS", threads);
+    if let Some(ckpt) = ckpt {
+        cmd.arg("--ckpt").arg(ckpt);
+    }
     for (key, value) in envs {
         cmd.env(key, value);
     }
@@ -25,8 +29,8 @@ pub fn scenario_run(args: &[&str], ckpt: &Path, threads: &str, envs: &[(&str, &s
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-/// The `(params digest, eval digest)` lines of a `scenario-run --ckpt`
-/// run's stdout.
+/// The `(params digest, eval digest)` lines of a `scenario-run` run's
+/// stdout.
 pub fn digests(stdout: &str) -> (String, String) {
     let line = |prefix: &str| {
         stdout

@@ -25,7 +25,7 @@ mod common;
 /// `(params digest, eval digest)`.
 fn eval_digests(ckpt: &Path, threads: &str, envs: &[(&str, &str)]) -> (String, String) {
     let args = ["--scenario", "table4-6", "--eval-episodes", "40"];
-    let stdout = common::scenario_run(&args, ckpt, threads, envs);
+    let stdout = common::scenario_run(&args, Some(ckpt), threads, envs);
     assert!(
         stdout.contains("loading  :"),
         "scenario-run must load the existing checkpoint, not retrain:\n{stdout}"

@@ -45,7 +45,7 @@ fn train_digests(shards: &str, threads: &str, envs: &[(&str, &str)]) -> (String,
         "--shards",
         shards,
     ];
-    let stdout = common::scenario_run(&args, &dir.join("run.ckpt.bin"), threads, envs);
+    let stdout = common::scenario_run(&args, Some(&dir.join("run.ckpt.bin")), threads, envs);
     let _ = std::fs::remove_dir_all(&dir);
     common::digests(&stdout)
 }

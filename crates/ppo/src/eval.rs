@@ -158,8 +158,9 @@ pub fn evaluate(
 }
 
 /// The canonical lane width for reported evaluation statistics: the width
-/// `Explorer` and the sweep report both evaluate on, so the two front ends
-/// report the same numbers for the same trained policy. A fixed constant
+/// the sweep report evaluates on, so every front end that reports through
+/// it (`scenario-run`, the table harnesses, the sweep and the daemon)
+/// reports the same numbers for the same trained policy. A fixed constant
 /// (not a runtime knob) because the lane split is part of the sampling
 /// plan — [`evaluate_batched`] clamps it to the episode budget.
 pub const EVAL_LANES: usize = 8;

@@ -9,9 +9,9 @@
 //! case studies ([`replacement`]) and the Table III hardware profiles
 //! ([`hardware`]), so scenario diversity is data, not code edits.
 //!
-//! # Example: load a scenario file and run it
+//! # Example: load a scenario file and build its environment
 //!
-//! ```no_run
+//! ```
 //! use autocat_scenario::Scenario;
 //!
 //! // Either resolve a built-in by name...
@@ -19,12 +19,13 @@
 //! // ...or load a hand-written TOML/JSON file.
 //! // let mut scenario = Scenario::load("my_scenario.toml").unwrap();
 //! scenario.train.max_steps = 300_000;
-//! let report = scenario.run().expect("valid scenario");
-//! println!(
-//!     "{}: found {} ({})",
-//!     scenario.name, report.sequence_notation, report.category
-//! );
+//! let env = scenario.build_env().expect("valid scenario");
+//! # let _ = env;
 //! ```
+//!
+//! Training and reporting live in `autocat-bench`:
+//! `sweep::train_trainer(&scenario, ..)` trains the scenario's PPO recipe
+//! and `sweep::row_and_stats` evaluates the policy and names its attack.
 //!
 //! # Example: round-trip a scenario through TOML or JSON
 //!
@@ -39,7 +40,7 @@
 //! assert_eq!(scenario, back);
 //!
 //! // The JSON path — the format the `sweep` harness uses for scenario
-//! // sidecars and checkpoints — round-trips identically.
+//! // sidecars — round-trips identically.
 //! let json = scenario.to_json();
 //! let back = autocat_scenario::Scenario::from_json(&json).unwrap();
 //! assert_eq!(scenario, back);
@@ -50,7 +51,6 @@ pub mod generate;
 pub mod registry;
 pub use autocat_nn::value;
 
-use autocat::{ExplorationReport, Explorer};
 use autocat_gym::{CacheGuessingGame, EnvConfig};
 use autocat_nn::value::Value;
 use autocat_ppo::{Backbone, PpoConfig};
@@ -72,9 +72,9 @@ pub struct TrainSpec {
     /// Trailing-average-return threshold treated as convergence.
     pub return_threshold: f32,
     /// Evaluation episodes after training — the N behind every per-policy
-    /// statistic this scenario reports (`Explorer` accuracy/detection
-    /// rate, the sweep report's accuracy/census columns). Overridable on
-    /// the bench CLIs with `--eval-episodes`.
+    /// statistic this scenario reports (the sweep report's accuracy,
+    /// detection-rate and census columns). Overridable on the bench CLIs
+    /// with `--eval-episodes`.
     pub eval_episodes: usize,
     /// Policy/value network backbone.
     pub backbone: Backbone,
@@ -85,8 +85,9 @@ pub struct TrainSpec {
 }
 
 impl Default for TrainSpec {
-    /// The recipe validated on the paper's small cache configurations
-    /// (matches `Explorer`'s defaults).
+    /// The recipe validated on the paper's small cache configurations: a
+    /// 64x64 MLP, `PpoConfig::small_env`, 200 evaluation episodes and a
+    /// 0.8 convergence threshold.
     fn default() -> Self {
         Self {
             seed: 0,
@@ -144,31 +145,6 @@ impl Scenario {
     /// Returns an error if the environment configuration is invalid.
     pub fn build_env(&self) -> Result<CacheGuessingGame, String> {
         CacheGuessingGame::new(self.env.clone())
-    }
-
-    /// Builds the [`Explorer`] this scenario describes — the single place
-    /// trainer construction happens for scenario-driven runs.
-    pub fn explorer(&self) -> Explorer {
-        // No `.lanes()` override: `train.ppo.num_lanes` governs the
-        // rollout width, so the serialized `[train.ppo] num_lanes` key is
-        // live configuration.
-        Explorer::new(self.env.clone())
-            .seed(self.train.seed)
-            .max_steps(self.train.max_steps)
-            .return_threshold(self.train.return_threshold)
-            .eval_episodes(self.train.eval_episodes)
-            .backbone(self.train.backbone.clone())
-            .ppo(self.train.ppo)
-    }
-
-    /// Trains a PPO agent on the scenario, extracts the discovered attack
-    /// and evaluates it (the full explore → extract → classify pipeline).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the environment configuration is invalid.
-    pub fn run(&self) -> Result<ExplorationReport, String> {
-        self.explorer().run()
     }
 
     /// Serializes the scenario as TOML.
@@ -284,19 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn explorer_inherits_the_train_spec() {
-        // Explorer's builder state is private; run a tiny budget to prove
-        // the wiring end to end instead.
-        let mut scenario = table4(1).unwrap();
-        scenario.train.max_steps = 2048;
-        scenario.train.ppo.horizon = 512;
-        scenario.train.ppo.num_lanes = 2;
-        let report = scenario.run().expect("valid scenario");
-        assert!(report.training_steps >= 2048);
-        assert!(!report.sequence.is_empty());
-    }
-
-    #[test]
     fn huge_u64_fields_survive_the_text_formats() {
         // Seeds above i64::MAX must not wrap negative in a saved file.
         let mut scenario = table4(1).unwrap();
@@ -335,10 +298,11 @@ mod tests {
 
     #[test]
     fn invalid_scenario_is_rejected_at_run() {
+        // `build_env` is the first step of every training run.
         let mut scenario = table4(1).unwrap();
         scenario.env.window_size = 1;
         assert!(scenario.validate().is_err());
-        assert!(scenario.run().is_err());
+        assert!(scenario.build_env().is_err());
     }
 
     #[test]
@@ -355,7 +319,6 @@ mod tests {
         let toml = scenario.to_toml();
         let back = Scenario::from_toml(&toml).unwrap();
         assert!(back.validate().is_err());
-        assert!(back.run().is_err());
         assert!(back.build_env().is_err());
     }
 }

@@ -7,6 +7,7 @@
 //! Run with: `cargo run --release --example hardware_exploration`
 
 use autocat::gym::HardwareProfile;
+use autocat_bench::train_and_report;
 
 fn main() {
     let profile = HardwareProfile::SkylakeL2;
@@ -14,11 +15,11 @@ fn main() {
     println!("Exploring scenario {} as a blackbox...", scenario.name);
     println!("  {}", scenario.summary);
     scenario.train.seed = 4;
-    let report = scenario.run().expect("valid scenario");
-    println!("sequence : {}", report.sequence_notation);
-    println!("category : {}", report.category);
+    let row = train_and_report(&scenario).expect("valid scenario");
+    println!("sequence : {}", row.sequence);
+    println!("category : {}", row.category);
     println!(
         "accuracy : {:.3} (noise keeps it slightly below 1.0, as in Table III)",
-        report.accuracy
+        row.accuracy()
     );
 }

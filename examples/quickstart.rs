@@ -4,17 +4,19 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use autocat_bench::{epochs_to_converge, train_and_report};
+
 fn main() {
     println!("AutoCAT quickstart: exploring scenario table4-6 (expected: flush+reload)");
     let mut scenario = autocat_scenario::table4(6).expect("registry row 6 exists");
     scenario.train.seed = 1;
     scenario.train.max_steps = 300_000;
-    let report = scenario.run().expect("valid scenario");
-    println!("attack sequence : {}", report.sequence_notation);
-    println!("category        : {}", report.category);
-    println!("guess accuracy  : {:.3}", report.accuracy);
-    println!("training steps  : {}", report.training_steps);
-    if let Some(epochs) = report.epochs_to_converge {
+    let row = train_and_report(&scenario).expect("valid scenario");
+    println!("attack sequence : {}", row.sequence);
+    println!("category        : {}", row.category);
+    println!("guess accuracy  : {:.3}", row.accuracy());
+    println!("training steps  : {}", row.steps);
+    if let Some(epochs) = epochs_to_converge(&row, &scenario) {
         println!("converged after : {epochs:.1} paper-epochs (3000 steps each)");
     } else {
         println!("did not converge within the step budget — try more steps");

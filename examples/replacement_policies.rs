@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release --example replacement_policies`
 
 use autocat::cache::PolicyKind;
+use autocat_bench::{epochs_to_converge, train_and_report};
 
 fn main() {
     for policy in [PolicyKind::Lru, PolicyKind::Plru, PolicyKind::Rrip] {
@@ -12,13 +13,14 @@ fn main() {
             policy.name().to_lowercase()
         );
         let scenario = autocat_scenario::replacement(policy);
-        let report = scenario.run().expect("valid scenario");
-        println!("sequence : {}", report.sequence_notation);
+        let row = train_and_report(&scenario).expect("valid scenario");
+        println!("sequence : {}", row.sequence);
         println!(
             "category : {}   accuracy: {:.3}",
-            report.category, report.accuracy
+            row.category,
+            row.accuracy()
         );
-        match report.epochs_to_converge {
+        match epochs_to_converge(&row, &scenario) {
             Some(e) => println!("epochs   : {e:.1} (paper: LRU 26.0, PLRU 15.7, RRIP 70.7)"),
             None => println!("epochs   : did not converge in budget"),
         }
