@@ -15,9 +15,10 @@ cargo test -q --doc --workspace
 
 echo "==> cargo test (scalar-fallback: the compile-time no-SIMD path stays green)"
 # The `scalar-fallback` feature compiles the x86 kernel tiers out entirely;
-# the kernel, training, and golden-fixture suites must pass with identical
-# results — SIMD is an implementation detail, never a semantic.
-cargo test -q -p autocat-nn -p autocat-bench --features autocat-nn/scalar-fallback
+# the kernel, training (sharded update and `Categorical` included), and
+# golden-fixture suites must pass with identical results — SIMD is an
+# implementation detail, never a semantic.
+cargo test -q -p autocat-nn -p autocat-bench -p autocat-ppo --features autocat-nn/scalar-fallback
 
 echo "==> cargo build --examples"
 cargo build --release --examples

@@ -1,6 +1,6 @@
 //! Categorical action distribution over logits.
 
-use crate::matrix::{log_sum_exp, softmax_inplace};
+use crate::matrix::softmax_inplace;
 use rand::Rng;
 
 /// A categorical distribution parameterized by unnormalized logits.
@@ -12,6 +12,9 @@ use rand::Rng;
 pub struct Categorical {
     logits: Vec<f32>,
     probs: Vec<f32>,
+    /// Log-sum-exp of the logits (the log-normalizer), computed once by
+    /// the softmax pass and shared by every log-probability.
+    lse: f32,
 }
 
 impl Categorical {
@@ -26,10 +29,11 @@ impl Categorical {
             "categorical needs at least one category"
         );
         let mut probs = logits.to_vec();
-        softmax_inplace(&mut probs);
+        let lse = softmax_inplace(&mut probs);
         Self {
             logits: logits.to_vec(),
             probs,
+            lse,
         }
     }
 
@@ -73,17 +77,16 @@ impl Categorical {
     /// Panics if `a` is out of range.
     pub fn log_prob(&self, a: usize) -> f32 {
         assert!(a < self.logits.len(), "action {a} out of range");
-        self.logits[a] - log_sum_exp(&self.logits)
+        self.logits[a] - self.lse
     }
 
     /// Shannon entropy of the distribution (nats).
     pub fn entropy(&self) -> f32 {
-        let lse = log_sum_exp(&self.logits);
         -self
             .probs
             .iter()
             .zip(self.logits.iter())
-            .map(|(&p, &l)| if p > 0.0 { p * (l - lse) } else { 0.0 })
+            .map(|(&p, &l)| if p > 0.0 { p * (l - self.lse) } else { 0.0 })
             .sum::<f32>()
     }
 
@@ -99,12 +102,11 @@ impl Categorical {
     /// `dH/d logit_i = -p_i * (log p_i + H)`.
     pub fn dentropy_dlogits(&self) -> Vec<f32> {
         let h = self.entropy();
-        let lse = log_sum_exp(&self.logits);
         self.probs
             .iter()
             .zip(self.logits.iter())
             .map(|(&p, &l)| {
-                let logp = l - lse;
+                let logp = l - self.lse;
                 -p * (logp + h)
             })
             .collect()
@@ -203,6 +205,35 @@ mod tests {
                 "i={i}: {numeric} vs {}",
                 g[i]
             );
+        }
+    }
+
+    /// The two-pass log-sum-exp every log-probability and the entropy
+    /// used to recompute.
+    fn log_sum_exp(row: &[f32]) -> f32 {
+        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        if !max.is_finite() {
+            return max;
+        }
+        let sum: f32 = row.iter().map(|&v| (v - max).exp()).sum();
+        max + sum.ln()
+    }
+
+    #[test]
+    fn normalizer_is_bitwise_the_two_pass_log_sum_exp() {
+        let rows: [&[f32]; 6] = [
+            &[0.0, 1.0, -1.0, 3.0],
+            &[0.5; 11],
+            &[88.0, -88.0, 0.0],
+            &[-1e30, 2.5],
+            &[f32::NEG_INFINITY, 0.25],
+            &[
+                1e-30, -1e-30, 0.0, -0.0, 7.0, -7.0, 0.125, 11.0, -3.5, 0.0625, 2.0,
+            ],
+        ];
+        for row in rows {
+            let d = Categorical::from_logits(row);
+            assert_eq!(d.lse.to_bits(), log_sum_exp(row).to_bits(), "{row:?}");
         }
     }
 

@@ -26,20 +26,29 @@ impl ActivationKind {
         }
     }
 
-    fn derivative(self, x: f32) -> f32 {
+    /// Whether the backward pass runs from the forward *output* (ReLU,
+    /// tanh: `f'` is a function of `f(x)`) rather than the input (GELU).
+    fn backward_from_output(self) -> bool {
+        !matches!(self, ActivationKind::Gelu)
+    }
+
+    /// `f'` at one element, from the value the forward pass cached: the
+    /// output `y = f(x)` for ReLU and tanh, the input `x` for GELU.
+    /// `y > 0` exactly when `x > 0`, and `1 - y*y` is tanh's `1 - t*t`
+    /// with `t` the very `x.tanh()` the forward computed, so both match
+    /// the input-side derivative bit for bit.
+    fn derivative(self, cached: f32) -> f32 {
         match self {
             ActivationKind::Relu => {
-                if x > 0.0 {
+                if cached > 0.0 {
                     1.0
                 } else {
                     0.0
                 }
             }
-            ActivationKind::Tanh => {
-                let t = x.tanh();
-                1.0 - t * t
-            }
+            ActivationKind::Tanh => 1.0 - cached * cached,
             ActivationKind::Gelu => {
+                let x = cached;
                 let c = (2.0 / std::f32::consts::PI).sqrt();
                 let inner = c * (x + 0.044_715 * x * x * x);
                 let t = inner.tanh();
@@ -50,20 +59,18 @@ impl ActivationKind {
     }
 }
 
-/// An element-wise activation layer with cached input.
+/// An element-wise activation layer. A training forward caches its output
+/// (ReLU, tanh) or its input (GELU): whichever the derivative needs.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Activation {
     kind: ActivationKind,
-    cached_input: Option<Matrix>,
+    cached: Option<Matrix>,
 }
 
 impl Activation {
     /// Creates an activation layer of the given kind.
     pub fn new(kind: ActivationKind) -> Self {
-        Self {
-            kind,
-            cached_input: None,
-        }
+        Self { kind, cached: None }
     }
 
     /// The activation kind.
@@ -71,10 +78,15 @@ impl Activation {
         self.kind
     }
 
-    /// Forward pass, caching the input.
+    /// Forward pass, caching what the backward pass needs.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.cached_input = Some(x.clone());
-        x.map(|v| self.kind.apply(v))
+        let y = self.forward_inference(x);
+        self.cached = Some(if self.kind.backward_from_output() {
+            y.clone()
+        } else {
+            x.clone()
+        });
+        y
     }
 
     /// Forward pass without caching (inference only).
@@ -82,18 +94,25 @@ impl Activation {
         x.map(|v| self.kind.apply(v))
     }
 
-    /// Backward pass: `dx = dy * f'(x)`.
+    /// Backward pass: `dx = dy * f'(x)`, computed in place in `dy`.
     ///
     /// # Panics
     ///
     /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let x = self
-            .cached_input
+    pub fn backward(&self, mut dy: Matrix) -> Matrix {
+        let cached = self
+            .cached
             .as_ref()
             .expect("Activation::backward called before forward");
-        let deriv = x.map(|v| self.kind.derivative(v));
-        dy.hadamard(&deriv)
+        assert_eq!(
+            (dy.rows(), dy.cols()),
+            (cached.rows(), cached.cols()),
+            "activation backward shape mismatch"
+        );
+        for (d, &c) in dy.as_mut_slice().iter_mut().zip(cached.as_slice()) {
+            *d *= self.kind.derivative(c);
+        }
+        dy
     }
 }
 
@@ -125,7 +144,7 @@ mod tests {
         let x = Matrix::from_row(&xs);
         a.forward(&x);
         let dy = Matrix::full(1, xs.len(), 1.0);
-        let dx = a.backward(&dy);
+        let dx = a.backward(dy);
         let eps = 1e-3;
         for (i, &xv) in xs.iter().enumerate() {
             let lp = kind.apply(xv + eps);
@@ -152,6 +171,59 @@ mod tests {
     #[test]
     fn gradient_check_gelu() {
         grad_check(ActivationKind::Gelu);
+    }
+
+    /// `f'(x)` from the input: the derivative the backward pass computed
+    /// before it ran from the cached output for ReLU and tanh.
+    fn derivative_of_input(kind: ActivationKind, x: f32) -> f32 {
+        match kind {
+            ActivationKind::Relu => {
+                if x > 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            ActivationKind::Tanh => {
+                let t = x.tanh();
+                1.0 - t * t
+            }
+            ActivationKind::Gelu => kind.derivative(x),
+        }
+    }
+
+    #[test]
+    fn backward_from_the_cache_matches_the_input_derivative_bitwise() {
+        let specials = [0.0f32, -0.0, 1e-30, -1e-30, 20.0, -20.0, f32::NAN];
+        let ordinary = [0.5f32, -0.5, 3.0, -3.0];
+        let xs: Vec<f32> = specials.iter().chain(&ordinary).copied().collect();
+        let dys = [1.0f32, -0.75, 2.5e-3, -0.0, f32::NAN];
+        let x_row: Vec<f32> = dys.iter().flat_map(|_| xs.iter().copied()).collect();
+        let dy_row: Vec<f32> = dys
+            .iter()
+            .flat_map(|&d| xs.iter().map(move |_| d))
+            .collect();
+        let x = Matrix::from_row(&x_row);
+        let dy = Matrix::from_row(&dy_row);
+        for kind in [
+            ActivationKind::Relu,
+            ActivationKind::Tanh,
+            ActivationKind::Gelu,
+        ] {
+            let mut a = Activation::new(kind);
+            a.forward(&x);
+            let got = a.backward(dy.clone());
+            let want = dy.hadamard(&x.map(|v| derivative_of_input(kind, v)));
+            for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{kind:?} at x = {}, dy = {}: {g} vs {w}",
+                    x_row[i],
+                    dy_row[i]
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fully-connected (affine) layer.
 
 use crate::init;
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, SparseRows};
 use crate::param::Param;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -15,7 +15,16 @@ pub struct Linear {
     pub w: Param,
     /// Bias row vector stored as a `(1, out_dim)` matrix.
     pub b: Param,
-    cached_input: Option<Matrix>,
+    cached_input: Option<CachedInput>,
+}
+
+/// What a training forward pass keeps of its input for `dW = x^T dy`.
+#[derive(Clone, Debug)]
+enum CachedInput {
+    /// A copy of the input ([`Linear::forward`]).
+    Dense(Matrix),
+    /// The input's nonzero entries only ([`Linear::forward_sparse`]).
+    Sparse(SparseRows),
 }
 
 impl Linear {
@@ -52,7 +61,19 @@ impl Linear {
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         let mut y = x.matmul(&self.w.value);
         y.add_row_broadcast(self.b.value.as_slice());
-        self.cached_input = Some(x.clone());
+        self.cached_input = Some(CachedInput::Dense(x.clone()));
+        y
+    }
+
+    /// Forward pass for a mostly-zero input (a batch of one-hot
+    /// observation tokens): bit-identical to [`Linear::forward`], but the
+    /// product visits only the nonzero inputs and the cache keeps only
+    /// them, so the backward pass's `dW` is a scatter of `dy` rows into
+    /// the weight-gradient rows of the inputs that were set.
+    pub fn forward_sparse(&mut self, x: &Matrix) -> Matrix {
+        let (mut y, pattern) = x.matmul_sparse(&self.w.value);
+        y.add_row_broadcast(self.b.value.as_slice());
+        self.cached_input = Some(CachedInput::Sparse(pattern));
         y
     }
 
@@ -69,20 +90,33 @@ impl Linear {
     ///
     /// Panics if called before `forward`.
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let x = self
+        self.backward_params(dy);
+        // dx = dy W^T
+        dy.matmul_nt(&self.w.value)
+    }
+
+    /// Backward pass for a layer whose input needs no gradient (a
+    /// network's input layer): accumulates exactly the `dW`, `db` bits of
+    /// [`Linear::backward`] and computes no `dx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before `forward`.
+    pub fn backward_params(&mut self, dy: &Matrix) {
+        // dW = x^T dy
+        match self
             .cached_input
             .as_ref()
-            .expect("Linear::backward called before forward");
-        // dW = x^T dy
-        let dw = x.matmul_tn(dy);
-        self.w.grad.add_assign(&dw);
+            .expect("Linear::backward called before forward")
+        {
+            CachedInput::Dense(x) => self.w.grad.add_assign(&x.matmul_tn(dy)),
+            CachedInput::Sparse(x) => x.add_tn_product(dy, &mut self.w.grad),
+        }
         // db = column sums of dy
         let db = dy.sum_rows();
         for (g, d) in self.b.grad.as_mut_slice().iter_mut().zip(db.iter()) {
             *g += d;
         }
-        // dx = dy W^T
-        dy.matmul_nt(&self.w.value)
     }
 
     /// Visits all parameters mutably (for the optimizer).
@@ -162,6 +196,45 @@ mod tests {
         l.forward(&x);
         l.backward(&dy);
         assert!((l.w.grad[(0, 0)] - 2.0 * g1).abs() < 1e-6);
+    }
+
+    fn grad_bits(l: &Linear) -> (Vec<u32>, Vec<u32>) {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+        (bits(&l.w.grad), bits(&l.b.grad))
+    }
+
+    #[test]
+    fn params_only_backward_accumulates_the_bits_of_backward() {
+        // One-hot rows, a dense row and an all-zero row, against grads
+        // that already hold a previous call's sum; both forwards.
+        let x = Matrix::from_rows(&[
+            &[0.0, 1.0, 0.0, 0.0, 0.0],
+            &[0.0, 0.0, 0.0, 1.0, 1.0],
+            &[0.3, -1.2, 0.7, 2.5, -0.1],
+            &[0.0, 0.0, 0.0, 0.0, 0.0],
+            &[1.0, 0.0, 0.0, 0.0, -0.0],
+        ]);
+        let dy = Matrix::from_rows(&[
+            &[0.5, -0.25, 1.5],
+            &[-2.0, 0.125, 0.3],
+            &[0.1, 0.2, -0.7],
+            &[3.0, -1.0, 0.0],
+            &[-0.6, 0.9, 1.1],
+        ]);
+        let mut reference = Linear::new(5, 3, &mut rng());
+        reference.forward(&x);
+        reference.backward(&dy);
+        let mut dense = reference.clone();
+        let mut sparse = reference.clone();
+        reference.forward(&x);
+        reference.backward(&dy);
+        dense.forward(&x);
+        dense.backward_params(&dy);
+        assert_eq!(grad_bits(&dense), grad_bits(&reference));
+        let y = sparse.forward_sparse(&x);
+        assert_eq!(y, reference.forward_inference(&x));
+        sparse.backward_params(&dy);
+        assert_eq!(grad_bits(&sparse), grad_bits(&reference));
     }
 
     #[test]

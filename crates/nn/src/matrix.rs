@@ -198,7 +198,11 @@ impl Matrix {
 
     /// Matrix product `self * other`.
     ///
-    /// Hybrid kernel dispatched per block of [`Self::MM_ROW_BLOCK`] rows:
+    /// Outputs narrower than [`Self::MM_COL_BLOCK`] columns (the policy
+    /// and value heads) hold each output row in one 16-lane accumulator,
+    /// [`Self::MM_ROW_BLOCK`] rows at a time, skipping zero inputs. Wider
+    /// outputs take a hybrid kernel dispatched per block of
+    /// [`Self::MM_ROW_BLOCK`] rows:
     ///
     /// * **Sparse row blocks** (mostly-zero inputs, e.g. one-hot
     ///   observation encodings hitting the first layer) use a k-outer axpy
@@ -297,13 +301,17 @@ impl Matrix {
         );
     }
 
-    /// Matrix product `self * other^T` without materializing the transpose.
+    /// Matrix product `self * other^T` without materializing the
+    /// transpose (except for a short shared axis, below).
     ///
     /// Each output element is a `dot_canonical` product over the shared
     /// `k` axis: 8-lane SIMD partial sums combined with the shim's fixed
     /// reduction tree, then an ascending scalar tail. That order is the
     /// *definition* of this kernel's result — identical across tiers,
-    /// thread counts, and the scalar-fallback build.
+    /// thread counts, and the scalar-fallback build. A shared axis under
+    /// 32 (a head's `dX = dlogits * W^T` over the actions) with at least
+    /// 16 output columns replays that order for sixteen columns per
+    /// vector, reading a transposed copy of `other`.
     ///
     /// # Panics
     ///
@@ -316,30 +324,77 @@ impl Matrix {
         );
         let mut out = Matrix::zeros(self.rows, other.rows);
         let n = other.rows;
+        let short_axis = self.cols < DOT_STRIPES * 8 && n >= Matrix::MM_COL_BLOCK;
+        let bt = if short_axis {
+            other.transpose().data
+        } else {
+            Vec::new()
+        };
         let workers = parallel_workers(self.rows, 2 * self.rows * self.cols * n);
         if workers <= 1 {
-            self.matmul_nt_rows(other, 0, self.rows, &mut out.data);
+            self.matmul_nt_rows(other, &bt, 0, self.rows, &mut out.data);
             return out;
         }
         let rows_per = self.rows.div_ceil(workers);
         run_row_chunks(&mut out.data, rows_per, n, |i0, rows, chunk| {
-            self.matmul_nt_rows(other, i0, i0 + rows, chunk);
+            self.matmul_nt_rows(other, &bt, i0, i0 + rows, chunk);
         });
         out
     }
 
     /// Serial `self * other^T` kernel over output rows `i0..i_end`,
-    /// writing into the caller's slice of those rows.
-    fn matmul_nt_rows(&self, other: &Matrix, i0: usize, i_end: usize, out_rows: &mut [f32]) {
+    /// writing into the caller's slice of those rows; `bt` is `other`
+    /// transposed for the short-axis kernel, or empty.
+    fn matmul_nt_rows(
+        &self,
+        other: &Matrix,
+        bt: &[f32],
+        i0: usize,
+        i_end: usize,
+        out_rows: &mut [f32],
+    ) {
         matmul_nt_dispatch(
             &self.data,
             self.cols,
             &other.data,
+            bt,
             other.rows,
             i0,
             i_end,
             out_rows,
         );
+    }
+
+    /// [`Matrix::matmul`] for a mostly-zero left operand (a batch of
+    /// one-hot observation rows), bit for bit, that also returns the
+    /// operand's nonzero pattern. `self` is scanned once to record the
+    /// pattern; sparse row blocks then visit only those nonzeros, in
+    /// ascending column order, and dense blocks take the dense kernel
+    /// under the same per-block rule as `matmul`. Runs serially: the work
+    /// left is a few rows of axpy per observation row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.rows()`.
+    pub(crate) fn matmul_sparse(&self, other: &Matrix) -> (Matrix, SparseRows) {
+        assert_eq!(
+            self.cols, other.rows,
+            "matmul shape mismatch: {}x{} * {}x{}",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        let pattern = SparseRows::of(self);
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        sparse_matmul_dispatch(
+            &self.data,
+            &pattern.start,
+            &pattern.col,
+            &pattern.val,
+            &other.data,
+            self.cols,
+            other.cols,
+            &mut out.data,
+        );
+        (out, pattern)
     }
 
     /// Returns the transpose.
@@ -551,6 +606,108 @@ impl fmt::Debug for Matrix {
     }
 }
 
+/// The nonzero entries of a matrix, row by row in ascending column order
+/// (compressed sparse rows): what [`Matrix::matmul_sparse`] records of a
+/// batch of one-hot observations, and all the MLP's input layer keeps of
+/// it for the backward pass.
+#[derive(Clone, Debug)]
+pub(crate) struct SparseRows {
+    cols: usize,
+    /// Row `r`'s entries are `col[start[r]..start[r + 1]]` (ascending)
+    /// with values `val[start[r]..start[r + 1]]`.
+    start: Vec<usize>,
+    col: Vec<usize>,
+    val: Vec<f32>,
+}
+
+impl SparseRows {
+    /// Records the entries of `m` that are not `== 0.0` (NaN is kept, as
+    /// the dense kernels' zero tests keep it).
+    fn of(m: &Matrix) -> Self {
+        const CHUNK: usize = 32;
+        let mut start = Vec::with_capacity(m.rows + 1);
+        let (mut col, mut val) = (Vec::new(), Vec::new());
+        start.push(0);
+        for r in 0..m.rows {
+            let row = m.row(r);
+            let full = row.len() / CHUNK * CHUNK;
+            // A branch-free nonzero bitmask per 32 entries, then one step
+            // per set bit: a one-hot row costs a vector compare per chunk,
+            // not a mispredicted branch per nonzero.
+            for (c0, chunk) in (0..).step_by(CHUNK).zip(row[..full].chunks_exact(CHUNK)) {
+                let mut mask = 0u32;
+                for (i, &v) in chunk.iter().enumerate() {
+                    mask |= u32::from(v != 0.0) << i;
+                }
+                while mask != 0 {
+                    let i = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    col.push(c0 + i);
+                    val.push(chunk[i]);
+                }
+            }
+            for (c, &v) in row.iter().enumerate().skip(full) {
+                if v != 0.0 {
+                    col.push(c);
+                    val.push(v);
+                }
+            }
+            start.push(col.len());
+        }
+        Self {
+            cols: m.cols,
+            start,
+            col,
+            val,
+        }
+    }
+
+    /// `out += self^T * dy`, bit for bit as
+    /// `out.add_assign(&x.matmul_tn(dy))` on the dense `x` — each output
+    /// element is summed apart over ascending rows, then added — but
+    /// visiting only the recorded nonzeros, regrouped by column. Rows of
+    /// `out` for columns that are zero in every row are left as they are;
+    /// the dense form adds `+0.0` to them, which changes no value but
+    /// `-0.0` (which zero-filled, accumulated gradients never hold).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dy` is not `rows x n` or `out` not `cols x n`.
+    pub(crate) fn add_tn_product(&self, dy: &Matrix, out: &mut Matrix) {
+        let n = dy.cols;
+        let rows = self.start.len() - 1;
+        assert!(
+            dy.rows == rows && out.rows == self.cols && out.cols == n,
+            "add_tn_product shape mismatch: ({}x{})^T * {}x{} into {}x{}",
+            rows,
+            self.cols,
+            dy.rows,
+            dy.cols,
+            out.rows,
+            out.cols
+        );
+        // Counting sort by column; rows are visited in ascending order, so
+        // each column's entries stay in ascending row order.
+        let mut col_start = vec![0usize; self.cols + 1];
+        for &c in &self.col {
+            col_start[c + 1] += 1;
+        }
+        for c in 0..self.cols {
+            col_start[c + 1] += col_start[c];
+        }
+        let mut next = col_start.clone();
+        let mut by_col = vec![(0usize, 0.0f32); self.col.len()];
+        for (r, span) in self.start.windows(2).enumerate() {
+            for e in span[0]..span[1] {
+                let slot = &mut next[self.col[e]];
+                by_col[*slot] = (r, self.val[e]);
+                *slot += 1;
+            }
+        }
+        sparse_tn_add_dispatch(&col_start, &by_col, &dy.data, n, &mut out.data);
+    }
+}
+
 thread_local! {
     /// Set inside [`with_inline_kernels`]: callers that already own the
     /// worker pool (e.g. the sharded PPO update's inline shard, which
@@ -701,6 +858,7 @@ tiered_kernel! {
         a: &[f32],
         cols: usize,
         b: &[f32],
+        bt: &[f32],
         n: usize,
         i0: usize,
         i_end: usize,
@@ -708,21 +866,51 @@ tiered_kernel! {
     )
 }
 
-/// Whether a [`Matrix::matmul`] row block should take the sparse axpy path:
-/// true when strictly fewer than `1 / MM_SPARSE_DENSITY_RECIP` of its
-/// entries are nonzero. Early-exits the scan once the dense threshold is
-/// reached (dense hidden activations bail out after ~len/4 entries instead
-/// of walking the whole block every call).
+tiered_kernel! {
+    /// Tier-dispatched [`sparse_matmul_body`] (`a * b` from `a`'s nonzeros).
+    fn sparse_matmul_dispatch / sparse_matmul_body(
+        a: &[f32],
+        start: &[usize],
+        col: &[usize],
+        val: &[f32],
+        b: &[f32],
+        inner: usize,
+        n: usize,
+        out: &mut [f32],
+    )
+}
+
+tiered_kernel! {
+    /// Tier-dispatched [`sparse_tn_add_body`] (`out += a^T * dy` from `a`'s nonzeros).
+    fn sparse_tn_add_dispatch / sparse_tn_add_body(
+        col_start: &[usize],
+        by_col: &[(usize, f32)],
+        dy: &[f32],
+        n: usize,
+        out: &mut [f32],
+    )
+}
+
+/// The sparse/dense rule of [`Matrix::matmul`]'s per-block dispatch: a
+/// block of `len` entries is sparse when strictly fewer than
+/// `1 / MM_SPARSE_DENSITY_RECIP` of them are nonzero
+/// (`nonzero * RECIP < len` <=> `nonzero < ceil(len / RECIP)`).
+#[inline(always)]
+fn is_sparse(nonzero: usize, len: usize) -> bool {
+    nonzero < len.div_ceil(Matrix::MM_SPARSE_DENSITY_RECIP)
+}
+
+/// Whether a [`Matrix::matmul`] row block should take the sparse axpy path
+/// ([`is_sparse`] of its nonzero count). Early-exits the scan once the
+/// dense threshold is reached (dense hidden activations bail out after
+/// ~len/4 entries instead of walking the whole block every call).
 #[inline(always)]
 fn block_is_sparse(block: &[f32]) -> bool {
-    // `nonzero * RECIP < len` <=> `nonzero < ceil(len / RECIP)` for
-    // integers, so counting stops at the first nonzero that decides it.
-    let dense_at = block.len().div_ceil(Matrix::MM_SPARSE_DENSITY_RECIP);
     let mut nonzero = 0usize;
     for &v in block {
         if v != 0.0 {
             nonzero += 1;
-            if nonzero >= dense_at {
+            if !is_sparse(nonzero, block.len()) {
                 return false;
             }
         }
@@ -758,6 +946,10 @@ fn axpy_row<I: Isa>(out: &mut [f32], a: f32, b: &[f32]) {
     }
 }
 
+/// Stripe accumulators of [`dot_canonical`]: its blocked main loop reads
+/// `DOT_STRIPES * 8` elements of the shared axis per iteration.
+const DOT_STRIPES: usize = 4;
+
 /// Canonical dot product defining [`Matrix::matmul_nt`]'s result.
 ///
 /// Four `f32x8` stripe accumulators: 8-element chunk `c` of the shared
@@ -771,7 +963,7 @@ fn axpy_row<I: Isa>(out: &mut [f32], a: f32, b: &[f32]) {
 #[inline(always)]
 fn dot_canonical<I: Isa>(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    const S: usize = 4;
+    const S: usize = DOT_STRIPES;
     const L: usize = 8;
     debug_assert_eq!(L, I::F8::LANES);
     let mut acc = [I::F8::zero(); S];
@@ -816,20 +1008,30 @@ fn matmul_rows_body<I: Isa>(
     out_rows: &mut [f32],
 ) {
     const RB: usize = Matrix::MM_ROW_BLOCK;
+    if n < Matrix::MM_COL_BLOCK {
+        // Narrow outputs (the scalar value head, small policy heads).
+        narrow_rows::<I>(
+            &a[i0 * inner..],
+            inner,
+            1,
+            inner,
+            b,
+            n,
+            i_end - i0,
+            out_rows,
+        );
+        return;
+    }
     // Scratch for the dense kernel's k-major repack; allocated only when a
-    // multi-row block takes the dense path (one-row forwards and narrow
-    // heads never need it).
+    // multi-row block takes the dense path (one-row forwards never need
+    // it).
     let mut pack: Vec<f32> = Vec::new();
     let base = i0;
     let mut i0 = i0;
     while i0 < i_end {
         let rb = RB.min(i_end - i0);
         let block_a = &a[i0 * inner..(i0 + rb) * inner];
-        // Narrow outputs (the scalar value head, small policy heads) have
-        // too little work per packed row to amortize the dense kernel's
-        // repacking; count nonzeros only when it matters.
-        let use_axpy = n < Matrix::MM_COL_BLOCK || block_is_sparse(block_a);
-        if use_axpy {
+        if block_is_sparse(block_a) {
             // Sparse path: skip zero inputs, full-width axpy.
             for r in 0..rb {
                 let a_row = &block_a[r * inner..(r + 1) * inner];
@@ -861,7 +1063,8 @@ fn matmul_rows_body<I: Isa>(
 }
 
 /// Serial `a^T * b` kernel body over output rows (= columns of `a`)
-/// `i0..i_end`: k-row outer loop, zero-skipping axpy across output columns.
+/// `i0..i_end`: k-row outer loop, zero-skipping axpy across output columns
+/// (narrow outputs: [`narrow_rows`]).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // flat-slice kernel ABI: dims are positional
 fn matmul_tn_body<I: Isa>(
@@ -874,6 +1077,10 @@ fn matmul_tn_body<I: Isa>(
     i_end: usize,
     out_rows: &mut [f32],
 ) {
+    if n < Matrix::MM_COL_BLOCK {
+        narrow_rows::<I>(&a[i0..], 1, a_cols, a_rows, b, n, i_end - i0, out_rows);
+        return;
+    }
     for k in 0..a_rows {
         let a_row = &a[k * a_cols + i0..k * a_cols + i_end];
         let b_row = &b[k * n..(k + 1) * n];
@@ -886,25 +1093,205 @@ fn matmul_tn_body<I: Isa>(
     }
 }
 
-/// Serial `a * b^T` kernel body over output rows `i0..i_end`: every output
-/// element is one `dot_canonical` over the shared `cols` axis.
+/// Narrow-output product behind [`Matrix::matmul`] and
+/// [`Matrix::matmul_tn`] when the output has fewer than
+/// [`Matrix::MM_COL_BLOCK`] columns (the policy and value heads). Output
+/// row `o < rows` is `sum_k a[o * o_stride + k * k_stride] * b[k, ..]`
+/// over ascending `k < k_len`, skipping zero `a` entries — per element
+/// the same operations in the same order as the sparse axpy path. One 16-lane
+/// accumulator holds a whole output row, for [`Matrix::MM_ROW_BLOCK`]
+/// rows at a time, so each `b` row is loaded once per row block rather
+/// than re-read as a short axpy per output row. A vector load of `b` row
+/// `k` also reads the start of the rows after it into lanes `n..`, which
+/// are never stored; the last rows, where 16 lanes would run past the end
+/// of `b`, finish per element in scalar code (same operations, same
+/// order).
 #[inline(always)]
+#[allow(clippy::too_many_arguments)] // flat-slice kernel ABI: dims are positional
+fn narrow_rows<I: Isa>(
+    a: &[f32],
+    o_stride: usize,
+    k_stride: usize,
+    k_len: usize,
+    b: &[f32],
+    n: usize,
+    rows: usize,
+    out_rows: &mut [f32],
+) {
+    const RB: usize = Matrix::MM_ROW_BLOCK;
+    const W: usize = 16;
+    debug_assert!(n < W && b.len() == k_len * n);
+    // Rows `k` with `k * n + W <= b.len()` load as a full vector.
+    let k_vec = if n == 0 || b.len() < W {
+        0
+    } else {
+        ((b.len() - W) / n + 1).min(k_len)
+    };
+    for o0 in (0..rows).step_by(RB) {
+        let rb = RB.min(rows - o0);
+        let mut acc = [I::F16::zero(); RB];
+        for k in 0..k_vec {
+            let bv = I::F16::from_slice(&b[k * n..]);
+            for (r, acc_r) in acc.iter_mut().enumerate().take(rb) {
+                let av = a[(o0 + r) * o_stride + k * k_stride];
+                if av != 0.0 {
+                    *acc_r = bv.mul_add(I::F16::splat(av), *acc_r);
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate().take(rb) {
+            let mut lanes = [0.0f32; W];
+            acc_r.write_to_slice(&mut lanes);
+            let out = &mut lanes[..n];
+            for k in k_vec..k_len {
+                let av = a[(o0 + r) * o_stride + k * k_stride];
+                if av != 0.0 {
+                    for (o, &bv) in out.iter_mut().zip(&b[k * n..(k + 1) * n]) {
+                        *o += bv * av;
+                    }
+                }
+            }
+            out_rows[(o0 + r) * n..(o0 + r + 1) * n].copy_from_slice(out);
+        }
+    }
+}
+
+/// Serial `a * b^T` kernel body over output rows `i0..i_end`: every output
+/// element is one [`dot_canonical`] over the shared `cols` axis.
+///
+/// A shared axis shorter than one blocked `dot_canonical` iteration
+/// (`cols < 32`: a head's `dX` over its actions) with `bt` (`b`
+/// transposed, `cols x n`) given instead runs sixteen output columns per
+/// vector: lane `j` replays element `j`'s `dot_canonical` step for step —
+/// each full 8-chunk in its own stripe, the lane-wise stripe combine, the
+/// fixed 8-lane tree, then the ascending tail — so the bits are the
+/// per-element kernel's, without its per-element setup and horizontal
+/// reduction. Columns past the last multiple of sixteen run per element.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // flat-slice kernel ABI: dims are positional
 fn matmul_nt_body<I: Isa>(
     a: &[f32],
     cols: usize,
     b: &[f32],
+    bt: &[f32],
     n: usize,
     i0: usize,
     i_end: usize,
     out_rows: &mut [f32],
 ) {
+    const L: usize = 8;
+    const W: usize = 16;
+    let zero = I::F16::zero();
+    let chunks = cols / L;
+    let n16 = if bt.is_empty() { 0 } else { (n / W) * W };
+    debug_assert!(n16 == 0 || chunks < DOT_STRIPES);
     for i in i0..i_end {
         let a_row = &a[i * cols..(i + 1) * cols];
-        for (j, out) in out_rows[(i - i0) * n..(i - i0 + 1) * n]
-            .iter_mut()
-            .enumerate()
-        {
+        let out_row = &mut out_rows[(i - i0) * n..(i - i0 + 1) * n];
+        for j0 in (0..n16).step_by(W) {
+            let col = |k: usize| I::F16::from_slice(&bt[k * n + j0..]);
+            // With no full chunk every stripe stays zero and the combine
+            // and tree below sum +0.0s: exactly +0.0.
+            let mut sum = zero;
+            if chunks > 0 {
+                let mut lane = [zero; L];
+                for (l, lane_l) in lane.iter_mut().enumerate() {
+                    let mut stripe = [zero; DOT_STRIPES];
+                    for (s, stripe_s) in stripe.iter_mut().enumerate().take(chunks) {
+                        let k = s * L + l;
+                        *stripe_s = I::F16::splat(a_row[k]).mul_add(col(k), zero);
+                    }
+                    *lane_l = (stripe[0] + stripe[1]) + (stripe[2] + stripe[3]);
+                }
+                sum = ((lane[0] + lane[1]) + (lane[2] + lane[3]))
+                    + ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+            }
+            for (k, &av) in a_row.iter().enumerate().skip(chunks * L) {
+                sum = col(k).mul_add(I::F16::splat(av), sum);
+            }
+            sum.write_to_slice(&mut out_row[j0..]);
+        }
+        for (j, out) in out_row.iter_mut().enumerate().skip(n16) {
             *out = dot_canonical::<I>(a_row, &b[j * cols..(j + 1) * cols]);
+        }
+    }
+}
+
+/// [`Matrix::matmul_sparse`]'s kernel: [`matmul_rows_body`]'s per-block
+/// dispatch with the sparse blocks' nonzeros read from the recorded
+/// pattern (`start`/`col`/`val`, see [`SparseRows`]) instead of scanned
+/// for. Narrow outputs and sparse blocks take the zero-skipping axpy
+/// (the same per-element sequence as the narrow kernel); dense blocks the
+/// register-blocked kernel over the dense rows of `a`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // flat-slice kernel ABI: dims are positional
+fn sparse_matmul_body<I: Isa>(
+    a: &[f32],
+    start: &[usize],
+    col: &[usize],
+    val: &[f32],
+    b: &[f32],
+    inner: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    const RB: usize = Matrix::MM_ROW_BLOCK;
+    let m = start.len() - 1;
+    let mut pack: Vec<f32> = Vec::new();
+    for i0 in (0..m).step_by(RB) {
+        let rb = RB.min(m - i0);
+        let nonzero = start[i0 + rb] - start[i0];
+        if n < Matrix::MM_COL_BLOCK || is_sparse(nonzero, rb * inner) {
+            for r in i0..i0 + rb {
+                let out_row = &mut out[r * n..(r + 1) * n];
+                for (&k, &av) in col[start[r]..start[r + 1]]
+                    .iter()
+                    .zip(&val[start[r]..start[r + 1]])
+                {
+                    axpy_row::<I>(out_row, av, &b[k * n..(k + 1) * n]);
+                }
+            }
+        } else {
+            if rb > 1 && pack.is_empty() {
+                pack.resize(RB * inner, 0.0);
+            }
+            dense_block_matmul::<I>(
+                &a[i0 * inner..(i0 + rb) * inner],
+                b,
+                &mut out[i0 * n..(i0 + rb) * n],
+                rb,
+                inner,
+                n,
+                &mut pack,
+            );
+        }
+    }
+}
+
+/// [`SparseRows::add_tn_product`]'s kernel: for each input column `c`
+/// with entries `by_col[col_start[c]..col_start[c + 1]]` (`(row, value)`,
+/// ascending row), sums `value * dy[row, ..]` into a zeroed row in
+/// ascending row order — [`matmul_tn_body`]'s per-element sequence — and
+/// adds that row to `out` row `c`.
+#[inline(always)]
+fn sparse_tn_add_body<I: Isa>(
+    col_start: &[usize],
+    by_col: &[(usize, f32)],
+    dy: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    let mut acc = vec![0.0f32; n];
+    for (c, span) in col_start.windows(2).enumerate() {
+        if span[0] == span[1] {
+            continue;
+        }
+        acc.fill(0.0);
+        for &(r, av) in &by_col[span[0]..span[1]] {
+            axpy_row::<I>(&mut acc, av, &dy[r * n..(r + 1) * n]);
+        }
+        for (o, &d) in out[c * n..(c + 1) * n].iter_mut().zip(&acc) {
+            *o += d;
         }
     }
 }
@@ -1013,8 +1400,10 @@ fn dense_block_matmul<I: Isa>(
     }
 }
 
-/// In-place numerically-stable softmax over a slice.
-pub fn softmax_inplace(row: &mut [f32]) {
+/// In-place numerically-stable softmax over a slice. Returns the slice's
+/// log-sum-exp `max + ln(sum_i exp(v_i - max))` (just `max` when that is
+/// not finite), which falls out of the same pass.
+pub fn softmax_inplace(row: &mut [f32]) -> f32 {
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0;
     for v in row.iter_mut() {
@@ -1027,16 +1416,11 @@ pub fn softmax_inplace(row: &mut [f32]) {
             *v *= inv;
         }
     }
-}
-
-/// Log-sum-exp of a slice (numerically stable).
-pub fn log_sum_exp(row: &[f32]) -> f32 {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    if !max.is_finite() {
-        return max;
+    if max.is_finite() {
+        max + sum.ln()
+    } else {
+        max
     }
-    let sum: f32 = row.iter().map(|&v| (v - max).exp()).sum();
-    max + sum.ln()
 }
 
 #[cfg(test)]
@@ -1108,14 +1492,23 @@ mod tests {
             assert_bits_eq(&out, &serial, "matmul_tn");
         }
 
-        let c = scrambled(14, 13, 5);
-        let serial = a.matmul_nt(&c);
-        for rows_per in [1usize, 4, 19] {
-            let mut out = Matrix::zeros(a.rows(), c.rows());
-            run_row_chunks(out.as_mut_slice(), rows_per, c.rows(), |i0, rows, chunk| {
-                a.matmul_nt_rows(&c, i0, i0 + rows, chunk);
-            });
-            assert_bits_eq(&out, &serial, "matmul_nt");
+        // 14 output columns run per element, 20 as the short-axis
+        // sixteen-column vector plus a per-element tail.
+        for (c_rows, seed) in [(14usize, 5u64), (20, 6)] {
+            let c = scrambled(c_rows, 13, seed);
+            let serial = a.matmul_nt(&c);
+            let bt = if c_rows >= Matrix::MM_COL_BLOCK {
+                c.transpose().into_vec()
+            } else {
+                Vec::new()
+            };
+            for rows_per in [1usize, 4, 19] {
+                let mut out = Matrix::zeros(a.rows(), c.rows());
+                run_row_chunks(out.as_mut_slice(), rows_per, c.rows(), |i0, rows, chunk| {
+                    a.matmul_nt_rows(&c, &bt, i0, i0 + rows, chunk);
+                });
+                assert_bits_eq(&out, &serial, "matmul_nt");
+            }
         }
     }
 
@@ -1258,10 +1651,10 @@ mod tests {
     }
 
     #[test]
-    fn log_sum_exp_matches_naive_for_small_values() {
-        let row = [0.1f32, -0.5, 1.2];
+    fn softmax_log_sum_exp_matches_naive_for_small_values() {
+        let mut row = [0.1f32, -0.5, 1.2];
         let naive = row.iter().map(|v| v.exp()).sum::<f32>().ln();
-        assert!((log_sum_exp(&row) - naive).abs() < 1e-6);
+        assert!((softmax_inplace(&mut row) - naive).abs() < 1e-6);
     }
 
     #[test]

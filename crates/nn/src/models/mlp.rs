@@ -106,14 +106,6 @@ impl MlpPolicy {
         }
         h
     }
-
-    fn trunk_forward_train(&mut self, obs: &Matrix) -> Matrix {
-        let mut h = obs.clone();
-        for (lin, act) in &mut self.trunk {
-            h = act.forward(&lin.forward(&h));
-        }
-        h
-    }
 }
 
 impl PolicyValueNet for MlpPolicy {
@@ -131,7 +123,16 @@ impl PolicyValueNet for MlpPolicy {
         grad_fn: &mut dyn FnMut(usize, &[f32], f32) -> (Vec<f32>, f32),
     ) {
         assert_eq!(obs.cols(), self.obs_dim, "observation dim mismatch");
-        let features = self.trunk_forward_train(obs);
+        // The input layer reads the one-hot observation batch sparsely and,
+        // having no input gradient to produce, computes no `dX`.
+        let ((in_lin, in_act), hidden) = self
+            .trunk
+            .split_first_mut()
+            .expect("MLP has at least one hidden layer");
+        let mut features = in_act.forward(&in_lin.forward_sparse(obs));
+        for (lin, act) in hidden.iter_mut() {
+            features = act.forward(&lin.forward(&features));
+        }
         let logits = self.policy_head.forward(&features);
         let values = self.value_head.forward(&features);
         let batch = obs.rows();
@@ -143,12 +144,12 @@ impl PolicyValueNet for MlpPolicy {
             dlogits.row_mut(i).copy_from_slice(&dl);
             dvalues[(i, 0)] = dv;
         }
-        let mut dfeat = self.policy_head.backward(&dlogits);
-        dfeat.add_assign(&self.value_head.backward(&dvalues));
-        let mut grad = dfeat;
-        for (lin, act) in self.trunk.iter_mut().rev() {
-            grad = lin.backward(&act.backward(&grad));
+        let mut grad = self.policy_head.backward(&dlogits);
+        grad.add_assign(&self.value_head.backward(&dvalues));
+        for (lin, act) in hidden.iter_mut().rev() {
+            grad = lin.backward(&act.backward(grad));
         }
+        in_lin.backward_params(&in_act.backward(grad));
     }
 
     fn zero_grad(&mut self) {

@@ -210,7 +210,7 @@ impl TransformerPolicy {
         // res2 = y1 + ff(y1): gradient flows both through FFN and residual.
         let dff = self
             .ff1
-            .backward(&self.ff_act.backward(&self.ff2.backward(&dres2)));
+            .backward(&self.ff_act.backward(self.ff2.backward(&dres2)));
         let mut dy1 = dres2;
         dy1.add_assign(&dff);
         let dres1 = self.ln1.backward(&dy1);
@@ -224,7 +224,7 @@ impl TransformerPolicy {
                 *g += d;
             }
         }
-        let _ = self.embed.backward(&dx);
+        self.embed.backward_params(&dx);
     }
 }
 

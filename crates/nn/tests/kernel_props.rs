@@ -1,20 +1,20 @@
-//! Property tests for the four matmul kernels against naive triple-loop
-//! references on ragged shapes, plus bitwise cross-tier digests.
+//! Property tests for the four matmul kernels against naive references on
+//! ragged shapes, plus bitwise cross-tier digests.
 //!
-//! Two kinds of claim, deliberately separated:
+//! Each kernel's result is *defined* by a canonical accumulation order
+//! (documented in `matrix.rs`), so each is checked bit for bit against a
+//! plain scalar loop in that order:
 //!
-//! * **Bit-exactness vs a naive reference** for the kernels whose
-//!   canonical accumulation order *is* plain ascending-`k`: `matmul`
-//!   (both its dense-block and sparse-axpy paths) and `matmul_tn`. The
+//! * `matmul` (both its dense-block and sparse-axpy paths, and the
+//!   narrow-output kernel) and `matmul_tn`: plain ascending-`k`. The
 //!   blocked/vectorized kernels reorder reads and pack operands, but every
 //!   output element must still accumulate its products in ascending-`k`
-//!   order with one rounding per multiply and one per add — so a scalar
-//!   triple loop reproduces them to the last bit.
-//! * **Tolerance vs naive + bitwise tier agreement** for `matmul_nt`,
-//!   whose canonical order is the striped [`dot_canonical`] reduction
-//!   (documented in `matrix.rs`), not ascending-`k`. There the naive loop
-//!   only bounds the error, and the bit-level contract is that every SIMD
-//!   tier agrees with the scalar instantiation of the same striped order.
+//!   order with one rounding per multiply and one per add.
+//! * `matmul_nt`: the striped `dot_canonical` reduction, replayed by
+//!   [`canonical_dot`] — whether the kernel runs it per element or, over a
+//!   short shared axis, sixteen output columns per vector. A naive
+//!   ascending-`k` loop additionally bounds its error, and every SIMD tier
+//!   must agree with the scalar instantiation.
 //!
 //! B operands are generated without exact zeros so no product can be a
 //! signed zero, which makes "skip zero `a` entries" and "include them"
@@ -109,11 +109,50 @@ fn naive_matmul_nt(a: &Matrix, b: &Matrix) -> Vec<f32> {
     out
 }
 
+/// Scalar replica of `matrix.rs`'s `dot_canonical`: 8-element chunk `c`
+/// accumulates lane-wise into stripe `c mod 4` in ascending chunk order,
+/// the stripes combine lane-wise as `(s0 + s1) + (s2 + s3)`, the 8 lanes
+/// reduce in the tree `((l0+l1) + (l2+l3)) + ((l4+l5) + (l6+l7))`, and the
+/// sub-chunk tail is added in ascending order.
+fn canonical_dot(a: &[f32], b: &[f32]) -> f32 {
+    let chunks = a.len() / 8;
+    let mut stripe = [[0.0f32; 8]; 4];
+    for (c, (ac, bc)) in a.chunks_exact(8).zip(b.chunks_exact(8)).enumerate() {
+        for ((s, &x), &y) in stripe[c % 4].iter_mut().zip(ac).zip(bc) {
+            *s += x * y;
+        }
+    }
+    let lane: Vec<f32> = (0..8)
+        .map(|l| (stripe[0][l] + stripe[1][l]) + (stripe[2][l] + stripe[3][l]))
+        .collect();
+    let mut sum =
+        ((lane[0] + lane[1]) + (lane[2] + lane[3])) + ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+    for k in chunks * 8..a.len() {
+        sum += a[k] * b[k];
+    }
+    sum
+}
+
+/// [`canonical_dot`] for every element of `a(m,k) * b(n,k)^T`.
+fn canonical_matmul_nt(a: &Matrix, b: &Matrix) -> Vec<f32> {
+    let (m, k, n) = (a.rows(), a.cols(), b.rows());
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            out[i * n + j] = canonical_dot(
+                &a.as_slice()[i * k..(i + 1) * k],
+                &b.as_slice()[j * k..(j + 1) * k],
+            );
+        }
+    }
+    out
+}
+
 fn assert_bits_equal(got: &Matrix, want: &[f32], what: &str) -> Result<(), String> {
     for (i, (g, w)) in got.as_slice().iter().zip(want.iter()).enumerate() {
         if g.to_bits() != w.to_bits() {
             return Err(format!(
-                "{what}: element {i}: kernel {g} ({:#010x}) != naive {w} ({:#010x})",
+                "{what}: element {i}: kernel {g} ({:#010x}) != reference {w} ({:#010x})",
                 g.to_bits(),
                 w.to_bits()
             ));
@@ -167,6 +206,20 @@ proptest! {
         let b = dense(k, n, &mut rng);
         let got = with_inline_kernels(|| a.matmul_tn(&b));
         assert_bits_equal(&got, &naive_matmul_tn(&a, &b), "matmul_tn")?;
+    }
+
+    #[test]
+    fn matmul_nt_matches_canonical_dot_bit_for_bit(
+        m in 1usize..20,
+        k in 1usize..140,
+        n in 1usize..140,
+        seed in 0u64..1 << 32,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = dense(m, k, &mut rng);
+        let b = dense(n, k, &mut rng);
+        let got = with_inline_kernels(|| a.matmul_nt(&b));
+        assert_bits_equal(&got, &canonical_matmul_nt(&a, &b), "matmul_nt")?;
     }
 
     #[test]
